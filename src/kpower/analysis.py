@@ -1,10 +1,15 @@
 """Closed-form graph parameters for k-power graphs, paired with brute force.
 
-Every quantity here comes in two independent routes: a number-theoretic
-closed form evaluated from the group's order census, and a direct
-computation on the built graph.  ``analyze`` runs both routes for one
-(G, k) pair and records any disagreement in the report's ``discrepancies``
-field instead of reconciling it; the strict standalone operations raise
+Each closed form is written once, as a ``*_rows`` function of the group's
+order census vectorised over an array ``kn`` of normalised exponents.  The
+sweep checks in ``verify`` evaluate it on a whole group's exponents; the
+public scalar functions here are one-row calls of the same code.  The graph
+side is the batch engine (``verify.analyze_batch``) in production, and the
+per-instance graph functions here and in ``graphs`` in the tests.
+
+``analyze`` is a one-row view over the batch engine that records any
+closed-form/graph disagreement in the report's ``discrepancies`` field
+instead of reconciling it; the strict standalone operations raise
 ``TheoremViolation`` instead.
 """
 
@@ -13,15 +18,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import numth
+import numpy as np
+
+from . import numth, verify
 from .graphs import (
-    BASIC_SHAPES,
+    SHAPE_CYCLE,
+    SHAPE_ISOLATED,
+    SHAPE_K2,
+    SHAPE_TREE,
+    SHAPE_UNICYCLIC,
     KPowerGraph,
+    build_directed,
     build_undirected,
     components,
     cycle_lengths,
     diameter,
     normalize_exponent,
+    shape_tag,
+    undirected_from_successor,
 )
 from .groups import FiniteGroup, build_group
 
@@ -42,39 +56,51 @@ class TheoremViolation(RuntimeError):
     """A proven identity failed to hold; indicates an implementation bug."""
 
 
+def _one_row(k: int, n: int) -> np.ndarray:
+    """The normalised exponent array of a single scalar k (validates k >= 2)."""
+    return np.array([normalize_exponent(k, n)], dtype=np.int64)
+
+
+def _distinct_orders(group: FiniteGroup) -> np.ndarray:
+    """The distinct element orders of the group, ascending."""
+    return np.array(list(group.order_census()), dtype=np.int64)
+
+
 # -- edge count ---------------------------------------------------------------
 
 
-def edge_count_formula(group: FiniteGroup, k: int) -> int:
-    """Closed-form edge count of P(G, k) from the order census.
+def edge_count_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
+    """Closed-form edge count of P(G, k) for every normalised exponent.
 
     |E| = n - sum_{d | k1} t_d - (1/2) sum_{d | k2, d !| k1} t_d with
-    k1 = gcd(k-1, n) and k2 = gcd(k^2-1, n).  The halved sum is over
-    element orders > 2 only, whose counts are always even; an odd count
-    there means the census itself is broken.
+    k1 = gcd(k-1, n) and k2 = gcd(k^2-1, n).  Since k-1 divides k^2-1 the
+    k1-divisors nest inside the k2-divisors.  The halved sum is over element
+    orders > 2 only, whose counts are always even; an odd sum there means
+    the census itself is broken.
     """
     n = group.order
-    k_norm = normalize_exponent(k, n)
     census = group.order_census()
-    k1 = math.gcd(k_norm - 1, n)
-    k2 = math.gcd(k_norm * k_norm - 1, n)
-    fixed = sum(t for d, t in census.items() if k1 % d == 0)
-    halved = 0
-    for d, t in census.items():
-        if k2 % d == 0 and k1 % d != 0:
-            if t % 2:
-                raise TheoremViolation(
-                    f"odd element count t_{d}={t} in the mutual-edge sum; census is broken"
-                )
-            halved += t
-    return n - fixed - halved // 2
+    orders = np.array(list(census), dtype=np.int64)
+    counts = np.array(list(census.values()), dtype=np.int64)
+    k1 = np.gcd(kn - 1, n)[:, None]
+    k2 = np.gcd(kn * kn - 1, n)[:, None]
+    fixed = (k1 % orders == 0) @ counts
+    mutual = (k2 % orders == 0) @ counts - fixed
+    if np.any(mutual % 2):
+        raise TheoremViolation("odd element count in the mutual-edge sum; census is broken")
+    return n - fixed - mutual // 2
+
+
+def edge_count_formula(group: FiniteGroup, k: int) -> int:
+    """Closed-form edge count of P(G, k) from the order census."""
+    return int(edge_count_rows(group, _one_row(k, group.order))[0])
 
 
 # -- degrees (cyclic groups) --------------------------------------------------
 
 
-def degree_cyclic(n: int, k: int, a: int) -> int:
-    """Degree of vertex a in P(Z_n, k), in closed form.
+def cyclic_degree_rows(n: int, kn: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Closed-form degrees in P(Z_n, k): one row per exponent, one column per residue a.
 
     With d = gcd(n, k) and o = o(a) = n/gcd(n, a):
       d !| a:  0 if o | k-1 else 1
@@ -82,62 +108,86 @@ def degree_cyclic(n: int, k: int, a: int) -> int:
                d   if o | k^2-1 but o !| k-1   (the out-edge is mutual)
                d+1 otherwise
     """
+    o = n // np.gcd(n, a)
+    k = kn[:, None]
+    d = np.gcd(k, n)
+    fixes = (k - 1) % o == 0
+    mutual = (k * k - 1) % o == 0
+    return np.where(
+        a % d != 0,
+        np.where(fixes, 0, 1),
+        np.where(fixes, d - 1, np.where(mutual, d, d + 1)),
+    )
+
+
+def degree_cyclic(n: int, k: int, a: int) -> int:
+    """Degree of vertex a in P(Z_n, k), in closed form."""
     if n < 1:
         raise ValueError("degree_cyclic expects n >= 1")
     if k < 2:
         raise ValueError("degree_cyclic expects k >= 2")
     if not 0 <= a < n:
         raise ValueError(f"residue {a} out of range for Z_{n}")
-    d = math.gcd(n, k)
-    o = n // math.gcd(n, a)
-    if a % d != 0:
-        return 0 if (k - 1) % o == 0 else 1
-    if (k - 1) % o == 0:
-        return d - 1
-    if (k * k - 1) % o == 0:
-        return d
-    return d + 1
+    return int(cyclic_degree_rows(n, _one_row(k, n), np.array([a]))[0, 0])
 
 
 # -- connectivity -------------------------------------------------------------
 
 
-def min_covering_exponent(d: int, k: int) -> int | None:
-    """Least m >= 0 with d | k**m, or None when no power of k is divisible.
+def covering_exponent_rows(orders: np.ndarray, kn: np.ndarray) -> np.ndarray:
+    """Least m >= 0 with d | k**m, one row per exponent k and one column per d.
 
-    The search is capped at (number of prime factors of d with
-    multiplicity) + 1, beyond which divisibility can no longer newly occur.
+    d | k**m iff every prime power p**a exactly dividing d has p | k and
+    m >= a / v_p(k); -1 marks columns where no power of k works.  Valuations
+    are read off gcds with the largest power of p not above max(orders);
+    capping v_p(k) there leaves every ceil(a / v_p(k)) unchanged.
     """
+    need = np.zeros((len(kn), len(orders)), dtype=np.int64)
+    possible = np.ones(need.shape, dtype=bool)
+    top = int(orders.max())
+    for p in numth.prime_set(int(np.lcm.reduce(orders))):
+        powers = [1]
+        while powers[-1] * p <= top:
+            powers.append(powers[-1] * p)
+        alpha = np.searchsorted(powers, np.gcd(orders, powers[-1]))[None, :]
+        v = np.searchsorted(powers, np.gcd(kn, powers[-1]))[:, None]
+        possible &= (v > 0) | (alpha == 0)
+        need = np.maximum(need, -(-alpha // np.maximum(v, 1)))
+    return np.where(possible, need, -1)
+
+
+def min_covering_exponent(d: int, k: int) -> int | None:
+    """Least m >= 0 with d | k**m, or None when no power of k is divisible."""
     if d < 1:
         raise ValueError("expects d >= 1")
-    if d == 1:
-        return 0
-    cap = sum(e for _, e in numth.factorize(d)) + 1
-    r = 1 % d
-    m = 0
-    while m < cap:
-        r = r * k % d
-        m += 1
-        if r == 0:
-            return m
-    return None
+    m = int(covering_exponent_rows(np.array([d]), np.array([k % d or d]))[0, 0])
+    return None if m < 0 else m
 
 
-def is_connected_criterion(group: FiniteGroup, k: int) -> tuple[bool, int | None]:
-    """Connectivity test from element orders, plus the diameter bound.
+def connectivity_rows(group: FiniteGroup, kn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(criterion, diameter bound) for every normalised exponent.
 
     P(G, k) is connected iff every element order divides some power of k;
     when it is, the diameter is at most twice the largest minimal such
-    power over the elements.
+    power over the elements.  The bound reads -1 on disconnected rows.
     """
-    k_norm = normalize_exponent(k, group.order)
-    worst = 0
-    for d in group.order_census():
-        m = min_covering_exponent(d, k_norm)
-        if m is None:
-            return False, None
-        worst = max(worst, m)
-    return True, 2 * worst
+    exponents = covering_exponent_rows(_distinct_orders(group), kn)
+    connected = (exponents >= 0).all(axis=1)
+    return connected, np.where(connected, 2 * exponents.max(axis=1), -1)
+
+
+def is_connected_criterion(group: FiniteGroup, k: int) -> tuple[bool, int | None]:
+    """Connectivity test from element orders, plus the diameter bound."""
+    connected, bound = connectivity_rows(group, _one_row(k, group.order))
+    return (True, int(bound[0])) if connected[0] else (False, None)
+
+
+def cyclic_pi_rows(n: int, kn: np.ndarray) -> np.ndarray:
+    """P(Z_n, k) is connected iff every prime of n also divides k."""
+    connected = np.ones(len(kn), dtype=bool)
+    for p in numth.prime_set(n):
+        connected &= kn % p == 0
+    return connected
 
 
 def is_connected_cyclic_pi(n: int, k: int) -> bool:
@@ -146,28 +196,30 @@ def is_connected_cyclic_pi(n: int, k: int) -> bool:
         raise ValueError("expects n >= 1")
     if k < 2:
         raise ValueError("expects k >= 2")
-    return set(numth.prime_set(n)) <= set(numth.prime_set(k))
+    return bool(cyclic_pi_rows(n, _one_row(k, n))[0])
 
 
 # -- clique and chromatic numbers ----------------------------------------------
 
 
+def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
+    """omega = 3 iff some element order m > 3 has m | k^3-1 and m !| k-1."""
+    orders = _distinct_orders(group)
+    m = orders[orders > 3]
+    k = kn[:, None]
+    return (((k**3 - 1) % m == 0) & ((k - 1) % m != 0)).any(axis=1)
+
+
 def clique_number(gr: KPowerGraph, group: FiniteGroup, k: int) -> tuple[int, bool]:
     """(omega, criterion): the graph-side clique number, never above 3,
-    and the order-census test for omega = 3 (an element order m > 3 with
-    m | k^3-1 and m !| k-1)."""
+    and the order-census test for omega = 3."""
     if gr.edge_count == 0:
         omega = 1
     elif _has_triangle(gr):
         omega = 3
     else:
         omega = 2
-    k_norm = normalize_exponent(k, group.order)
-    kc = k_norm**3 - 1
-    criterion = any(
-        m > 3 and kc % m == 0 and (k_norm - 1) % m != 0 for m in group.order_census()
-    )
-    return omega, criterion
+    return omega, bool(clique_criterion_rows(group, _one_row(k, group.order))[0])
 
 
 def _has_triangle(gr: KPowerGraph) -> bool:
@@ -239,14 +291,30 @@ def is_perfect(gr: KPowerGraph) -> bool:
 # -- characterizations ----------------------------------------------------------
 
 
+def star_case_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
+    """Star-criterion case for every normalised exponent (an array of STAR_CASE_*).
+
+    The three-way disjunction, in this order: every element order divides
+    k; or G is cyclic of order 4 with k = 2; or G is the order-8 quaternion
+    group with k in {2, 6}.  A single vertex is never a star.
+    """
+    if group.order < 2:
+        return np.full(len(kn), STAR_CASE_NONE)
+    census = group.order_census()
+    orders = np.array(list(census), dtype=np.int64)
+    z4 = (kn == 2) & (census == _CENSUS_Z4)
+    q8 = ((kn == 2) | (kn == 6)) & (census == _CENSUS_Q8)
+    case = np.where(q8, STAR_CASE_Q8, STAR_CASE_NONE)
+    case = np.where(z4, STAR_CASE_Z4, case)
+    return np.where((kn[:, None] % orders == 0).all(axis=1), STAR_CASE_ALL_ORDERS, case)
+
+
 def is_star(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[bool, str]:
     """(graph-side star test, criterion case).
 
     The graph side checks for one centre adjacent to every other vertex and
-    no further edges (n >= 2).  The criterion case is the three-way
-    disjunction: every element order divides k; or G is cyclic of order 4
-    with k = 2; or G is the order-8 quaternion group with k in {2, 6}
-    (k taken mod o(G)).  The two must agree; ``analyze`` flags mismatches.
+    no further edges (n >= 2); the case comes from ``star_case_rows``.  The
+    two must agree; ``analyze`` flags mismatches.
     """
     n = group.order
     if gr is None:
@@ -256,47 +324,68 @@ def is_star(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[
         and gr.edge_count == n - 1
         and max(len(nbrs) for nbrs in gr.adjacency) == n - 1
     )
-    k_norm = normalize_exponent(k, n)
-    census = group.order_census()
-    if n < 2:
-        case = STAR_CASE_NONE
-    elif all(k_norm % d == 0 for d in census):
-        case = STAR_CASE_ALL_ORDERS
-    elif census == _CENSUS_Z4 and k_norm == 2:
-        case = STAR_CASE_Z4
-    elif census == _CENSUS_Q8 and k_norm in (2, 6):
-        case = STAR_CASE_Q8
-    else:
-        case = STAR_CASE_NONE
-    return graph_star, case
+    return graph_star, str(star_case_rows(group, _one_row(k, n))[0])
+
+
+def empty_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
+    """P(G, k) is edgeless iff every element order divides k - 1."""
+    return ((kn[:, None] - 1) % _distinct_orders(group) == 0).all(axis=1)
 
 
 def is_empty_graph(group: FiniteGroup, k: int) -> bool:
     """True iff every element order divides k - 1 (all vertices fixed)."""
-    k_norm = normalize_exponent(k, group.order)
-    return all((k_norm - 1) % d == 0 for d in group.order_census())
+    return bool(empty_criterion_rows(group, _one_row(k, group.order))[0])
+
+
+def forest_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
+    """Acyclic iff no element order m > 1 is coprime to k with ord_m(k) > 2.
+
+    Such an m would close an m-orbit of length ord_m(k) into a cycle;
+    conversely any cycle forces one.  For coprime k, ord_m(k) > 2 means
+    k^2 != 1 (mod m).
+    """
+    orders = _distinct_orders(group)
+    m = orders[orders > 1]
+    k = kn[:, None]
+    return ~((np.gcd(k, m) == 1) & ((k * k - 1) % m != 0)).any(axis=1)
 
 
 def is_forest(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[bool, bool]:
-    """(graph-side acyclicity, criterion).
-
-    The criterion: no element order m > 1 is coprime to k with
-    ord_m(k) > 2.  Such an m would close an m-orbit of length ord_m(k)
-    into a cycle; conversely any cycle forces one.
-    """
+    """(graph-side acyclicity, criterion from ``forest_criterion_rows``)."""
     if gr is None:
         gr = build_undirected(group, k)
     acyclic = all(p.cycle_length is None for p in components(gr))
-    k_norm = normalize_exponent(k, group.order)
-    criterion = True
-    for m in group.order_census():
-        if m > 1 and math.gcd(k_norm, m) == 1 and numth.multiplicative_order(k_norm, m) > 2:
-            criterion = False
-            break
-    return acyclic, criterion
+    return acyclic, bool(forest_criterion_rows(group, _one_row(k, group.order))[0])
 
 
 # -- cyclic specialisations ------------------------------------------------------
+
+
+def _pow_mod(base: np.ndarray, e: int, n: int) -> np.ndarray:
+    """base**e mod n elementwise, by squaring (n <= 2**16 keeps products in int64)."""
+    result = np.ones_like(base)
+    b = base % n
+    while e:
+        if e & 1:
+            result = result * b % n
+        b = b * b % n
+        e >>= 1
+    return result
+
+
+def primitive_root_rows(n: int, kn: np.ndarray) -> np.ndarray:
+    """Whether k is a primitive root modulo every divisor of n.
+
+    Reduction mod d maps the units mod n onto the units mod d, so a
+    generator mod n generates mod every divisor; the test is therefore
+    ord_n(k) = phi(n): gcd(k, n) = 1 and k^(phi(n)/q) != 1 (mod n) for
+    every prime q of phi(n).
+    """
+    phi = numth.euler_phi(n)
+    generates = np.gcd(kn, n) == 1
+    for q in numth.prime_set(phi):
+        generates &= _pow_mod(kn, phi // q, n) != 1
+    return generates
 
 
 def component_count_cyclic(n: int, k: int) -> tuple[int, int, bool]:
@@ -312,9 +401,8 @@ def component_count_cyclic(n: int, k: int) -> tuple[int, int, bool]:
         raise ValueError(f"component bound requires gcd(n, k) = 1, got gcd({n}, {k}) != 1")
     group = build_group(f"cyclic:{n}")
     count = len(components(build_undirected(group, k)))
-    divs = numth.divisors(n)
-    tau_n = len(divs)
-    criterion = all(numth.is_primitive_root(k, d) for d in divs)
+    tau_n = numth.tau(n)
+    criterion = bool(primitive_root_rows(n, _one_row(k, n))[0])
     if count < tau_n:
         raise TheoremViolation(f"P(Z_{n},{k}) has {count} components, below tau({n}) = {tau_n}")
     if (count == tau_n) != criterion:
@@ -388,21 +476,24 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
     )
 
 
-def shapes_all_basic_criterion(n: int, k: int) -> bool:
+def shapes_basic_rows(n: int, kn: np.ndarray) -> np.ndarray:
     """Predicts when every component of P(Z_n, k) is isolated, K_2 or a cycle.
 
     True when gcd(n, k) = 1.  The lone exception on the non-coprime side is
     k = n/2 + 1 (mod n) for n = 2 mod 4, where the graph degenerates to a
     perfect matching of K_2 components even though gcd(n, k) = 2: the usual
     witness (the degree-1 vertex 1 attached to a higher-degree vertex k)
-    collapses because k is then a fixed point.
+    collapses because k is then a fixed point.  For n = 2, n/2 + 1 = n is
+    the normalised residue 0.
     """
+    return (np.gcd(kn, n) == 1) | ((n % 4 == 2) & (kn == n // 2 + 1))
+
+
+def shapes_all_basic_criterion(n: int, k: int) -> bool:
+    """``shapes_basic_rows`` for one exponent."""
     if n < 1:
         raise ValueError("expects n >= 1")
-    if math.gcd(n, k) == 1:
-        return True
-    k_norm = k % n or n  # n = 2 has n/2 + 1 = n, which reduces to residue 0
-    return n % 4 == 2 and k_norm == n // 2 + 1
+    return bool(shapes_basic_rows(n, np.array([k % n or n]))[0])
 
 
 # -- the aggregate report ---------------------------------------------------------
@@ -425,7 +516,6 @@ class AnalysisReport:
     edge_count_formula: int
     edge_count_brute: int
     degree_sequence: list[int]
-    components: int
     component_count: int
     component_shapes: dict[str, int]
     is_connected: bool
@@ -452,7 +542,7 @@ class AnalysisReport:
             "edge_count_formula": self.edge_count_formula,
             "edge_count_brute": self.edge_count_brute,
             "degree_sequence": self.degree_sequence,
-            "components": self.components,
+            "components": self.component_count,
             "component_count": self.component_count,
             "component_shapes": self.component_shapes,
             "is_connected": self.is_connected,
@@ -506,7 +596,7 @@ class AnalysisReport:
             self.edge_count_formula,
             self.edge_count_brute,
             degree_text,
-            self.components,
+            self.component_count,
             self.component_count,
             shape_text,
             self.is_connected,
@@ -530,19 +620,48 @@ class AnalysisReport:
         return ",".join(cell(v) for v in fields)
 
 
+def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:
+    """Shape-tag counts of a one-row batch, in order of each component's least vertex."""
+    shapes: dict[str, int] = {}
+    order = np.argsort(m.comp_least).tolist()
+    vertices = m.comp_vertices.tolist()
+    edges = m.comp_edges.tolist()
+    cycle = m.comp_cycle_len.tolist()  # directed: 1 = fixed point, 2 = mutual pair
+    for c in order:
+        if vertices[c] == 1:
+            tag = SHAPE_ISOLATED
+        elif vertices[c] == 2 and edges[c] == 1:
+            tag = SHAPE_K2
+        elif cycle[c] >= 3:
+            tag = shape_tag(SHAPE_CYCLE if vertices[c] == cycle[c] else SHAPE_UNICYCLIC, cycle[c])
+        else:
+            tag = SHAPE_TREE
+        shapes[tag] = shapes.get(tag, 0) + 1
+    return shapes
+
+
 def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     """Compute every parameter and criterion for one (G, k) pair.
 
-    All paired closed-form/brute-force values are compared; mismatches are
-    recorded in ``discrepancies`` rather than raised, so reports remain
-    producible outside any theorem's hypothesis.
+    The graph side is row 0 of a one-row ``verify.GroupBatch``; only the
+    diameter (BFS) and the greedy colouring run on adjacency lists.  All
+    paired closed-form/graph values are compared; mismatches are recorded
+    in ``discrepancies`` rather than raised, so reports remain producible
+    outside any theorem's hypothesis.
     """
     n = group.order
-    gr = build_undirected(group, k)
-    profiles = components(gr)
+    directed = build_directed(group, k)
+    kn = directed.k_normalized
+    gr = undirected_from_successor(directed.successor, k, kn)
+    S = np.array([directed.successor], dtype=np.int64)
+    # The row is labelled by kn: a raw k may not fit in int64, and the
+    # graph depends on k only through kn.
+    kns = np.array([kn], dtype=np.int64)
+    batch = verify.GroupBatch(group, kns, kns, S, verify.analyze_batch(S))
+    m = batch.metrics
     discrepancies: list[str] = []
 
-    edges_brute = gr.edge_count
+    edges_brute = int(m.edge_count[0])
     try:
         edges_formula = edge_count_formula(group, k)
     except TheoremViolation as exc:
@@ -551,11 +670,7 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     if edges_formula != edges_brute:
         discrepancies.append(f"edge count: formula {edges_formula} != graph {edges_brute}")
 
-    shape_counts: dict[str, int] = {}
-    for p in profiles:
-        shape_counts[p.shape_tag] = shape_counts.get(p.shape_tag, 0) + 1
-
-    connected = len(profiles) == 1
+    connected = bool(m.connected[0])
     criterion_connected, bound = is_connected_criterion(group, k)
     if criterion_connected != connected:
         discrepancies.append(
@@ -565,21 +680,27 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     if connected and bound is not None and diam is not None and diam > bound:
         discrepancies.append(f"diameter {diam} exceeds bound {bound}")
 
-    omega, clique_criterion = clique_number(gr, group, k)
+    omega = int(m.omega[0])
+    clique_criterion = bool(clique_criterion_rows(group, batch.kn)[0])
     if (omega == 3) != clique_criterion:
         discrepancies.append(f"clique: omega {omega} vs criterion {clique_criterion}")
 
     chi, coloring = chromatic(gr)
-    if any(coloring[u] == coloring[v] for u, v in gr.edges()):
+    if chi != int(m.chi[0]):
+        discrepancies.append(f"chromatic: greedy {chi} != cycle parity {int(m.chi[0])}")
+    colors = np.array(coloring, dtype=np.int64)
+    if np.any(colors[m.edge_u] == colors[m.edge_v]):
         discrepancies.append("colouring is not proper")
     if sorted(set(coloring)) != list(range(1, chi + 1)):
         discrepancies.append("colouring does not use exactly chi colours")
 
-    forest_bool, forest_criterion = is_forest(group, k, gr)
+    forest_bool = not m.has_cycle[0]
+    forest_criterion = bool(forest_criterion_rows(group, batch.kn)[0])
     if forest_bool != forest_criterion:
         discrepancies.append(f"forest: graph {forest_bool} vs criterion {forest_criterion}")
 
-    star_bool, star_case = is_star(group, k, gr)
+    star_bool = bool(m.star_shape[0])
+    star_case = str(star_case_rows(group, batch.kn)[0])
     if star_bool != (star_case != STAR_CASE_NONE):
         discrepancies.append(f"star: graph {star_bool} vs case {star_case}")
 
@@ -589,10 +710,11 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
             f"empty: criterion {empty_criterion} vs edge count {edges_brute}"
         )
 
-    perfect = is_perfect(gr)
+    perfect = not m.has_long_odd_cycle[0]
     if chi == 3 and omega == 2 and perfect:
         discrepancies.append("perfect despite chi 3 and omega 2")
 
+    count = int(m.comp_count[0])
     cyclic_extras = None
     if group.spec.family == "cyclic":
         pi_connected = is_connected_cyclic_pi(n, k)
@@ -600,12 +722,10 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
             discrepancies.append(f"pi criterion {pi_connected} != connectivity {connected}")
         if connected and not forest_bool:
             discrepancies.append("connected cyclic graph is not a tree")
-        divs = numth.divisors(n)
-        tau_n = len(divs)
+        tau_n = numth.tau(n)
         prim_root: bool | None = None
-        if math.gcd(n, gr.k_normalized) == 1:
-            prim_root = all(numth.is_primitive_root(gr.k_normalized, d) for d in divs)
-            count = len(profiles)
+        if math.gcd(n, kn) == 1:
+            prim_root = bool(primitive_root_rows(n, batch.kn)[0])
             if count < tau_n:
                 discrepancies.append(f"component count {count} below tau {tau_n}")
             if (count == tau_n) != prim_root:
@@ -613,35 +733,32 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
                     f"component count {count} vs tau {tau_n} disagrees with "
                     f"primitive-root criterion {prim_root}"
                 )
-            homogeneous = adjacency_preserves_order(gr, group)
-            if homogeneous is False:
+            orders = np.array(group.element_orders, dtype=np.int64)
+            if np.any(orders[m.edge_u] != orders[m.edge_v]):
                 discrepancies.append("an edge joins elements of different order")
-        all_basic = all(p.shape in BASIC_SHAPES for p in profiles)
-        if all_basic != shapes_all_basic_criterion(n, gr.k_normalized):
+        all_basic = bool(m.all_shapes_basic[0])
+        if all_basic != shapes_all_basic_criterion(n, kn):
             discrepancies.append(
                 f"component shapes basic={all_basic} disagrees with the gcd criterion"
             )
         tag = None
         if n % 4 == 2:
-            if gr.k_normalized == n // 2:
+            if kn == n // 2:
                 tag = "two_stars"
-            elif gr.k_normalized == n // 2 + 1:
+            elif kn == n // 2 + 1:
                 tag = "half_matching"
         cyclic_extras = CyclicExtras(pi_connected, tau_n, prim_root, tag)
-
-    degree_sequence = sorted((len(nbrs) for nbrs in gr.adjacency), reverse=True)
 
     return AnalysisReport(
         group=str(group.spec),
         k=k,
-        k_normalized=gr.k_normalized,
+        k_normalized=kn,
         edges=edges_brute,
         edge_count_formula=edges_formula,
         edge_count_brute=edges_brute,
-        degree_sequence=degree_sequence,
-        components=len(profiles),
-        component_count=len(profiles),
-        component_shapes=shape_counts,
+        degree_sequence=sorted(m.degrees[0].tolist(), reverse=True),
+        component_count=count,
+        component_shapes=_component_shapes(m),
         is_connected=connected,
         diameter=diam,
         diameter_bound=bound,

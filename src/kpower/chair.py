@@ -76,37 +76,6 @@ def solve_chairs(n: int) -> ChairSolution:
     return ChairSolution(n=n, minimal_k=k, seating=seating, collision_trace=collisions)
 
 
-def whistle_positions(n: int, whistles: int) -> list[int]:
-    """Chair of each person-residue after the given whistle, by stepping.
-
-    This is the independent oracle: person-residue i starts on chair i at
-    whistle 1 and advances by i at every later whistle - the exponent map
-    is never used.
-    """
-    if n < 1:
-        raise ValueError("expects n >= 1")
-    if whistles < 1:
-        raise ValueError("expects at least the initial whistle")
-    positions = list(range(n))
-    for _ in range(whistles - 1):
-        positions = [(pos + i) % n for i, pos in enumerate(positions)]
-    return positions
-
-
-def minimal_whistles_by_simulation(n: int) -> int:
-    """Least whistle count >= 2 with every chair occupied once, by stepping."""
-    positions = list(range(n))
-    w = 1
-    while True:
-        positions = [(pos + i) % n for i, pos in enumerate(positions)]
-        w += 1
-        seen = [0] * n
-        for pos in positions:
-            seen[pos] += 1
-        if all(c == 1 for c in seen):
-            return w
-
-
 def render_trace(solution: ChairSolution) -> str:
     """Text trace: one line per whistle, then the result line.
 

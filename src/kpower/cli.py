@@ -194,7 +194,7 @@ def _sweep_values(batch, param: str) -> np.ndarray:
     if param == "chromatic":
         return m.chi
     if param == "clique":
-        return np.where(m.edge_count == 0, 1, np.where(m.has_triangle, 3, 2))
+        return m.omega
     if param == "connected":
         return m.connected.astype(np.int64)
     if param == "forest":
@@ -239,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("cyclic", "sym", "dihedral", "quaternion", "product"))
     p_verify.add_argument("--max-n", type=int, required=True, help="family parameter cap")
     p_verify.add_argument("--min-n", type=int, default=1)
-    k_group = p_verify.add_mutually_exclusive_group()
-    k_group.add_argument("--k-all", action="store_true",
-                         help="sweep all k in 2..o(G)+1 (the default)")
-    k_group.add_argument("--k-max", type=int, default=None, help="cap on k")
+    p_verify.add_argument("--k-max", type=int, default=None,
+                          help="cap on k (default: all k in 2..o(G)+1)")
     p_verify.add_argument("--theorem", action="append", choices=verify_mod.THEOREMS,
                           help="repeatable; default runs the whole catalog")
     p_verify.set_defaults(func=cmd_verify)
@@ -259,10 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("cyclic", "sym", "dihedral", "quaternion", "product"))
     p_sweep.add_argument("--max-n", type=int, required=True)
     p_sweep.add_argument("--min-n", type=int, default=1)
-    k_group_sweep = p_sweep.add_mutually_exclusive_group()
-    k_group_sweep.add_argument("--k-all", action="store_true",
-                               help="sweep all k in 2..o(G)+1 (the default)")
-    k_group_sweep.add_argument("--k-max", type=int, default=None)
+    p_sweep.add_argument("--k-max", type=int, default=None,
+                         help="cap on k (default: all k in 2..o(G)+1)")
     p_sweep.add_argument("--param", choices=_PARAM_CHOICES, default="edges")
     p_sweep.add_argument("--out", "-o", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -26,10 +26,6 @@ SHAPE_CYCLE = "cycle"
 SHAPE_TREE = "tree"
 SHAPE_UNICYCLIC = "unicyclic"
 
-# Shapes a coprime cyclic graph decomposes into (isolated vertex, a single
-# edge, or a cycle of length >= 3).
-BASIC_SHAPES = (SHAPE_ISOLATED, SHAPE_K2, SHAPE_CYCLE)
-
 
 def normalize_exponent(k: int, order: int) -> int:
     """Reduce k to its graph-equivalent residue in 1..order."""
@@ -85,10 +81,14 @@ class ComponentProfile:
 
     @property
     def shape_tag(self) -> str:
-        """Compact tag such as 'cycle(5)' or 'tree'."""
-        if self.shape in (SHAPE_CYCLE, SHAPE_UNICYCLIC):
-            return f"{self.shape}({self.cycle_length})"
-        return self.shape
+        return shape_tag(self.shape, self.cycle_length)
+
+
+def shape_tag(shape: str, cycle_length: int | None) -> str:
+    """Compact tag such as 'cycle(5)' or 'tree'."""
+    if shape in (SHAPE_CYCLE, SHAPE_UNICYCLIC):
+        return f"{shape}({cycle_length})"
+    return shape
 
 
 def build_directed(group: FiniteGroup, k: int) -> DirectedKPowerGraph:

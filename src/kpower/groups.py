@@ -80,6 +80,7 @@ class FiniteGroup:
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
     _table: np.ndarray | None = field(default=None, repr=False)
+    _census: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     # -- core operations ---------------------------------------------------
 
@@ -115,10 +116,12 @@ class FiniteGroup:
 
     def order_census(self) -> dict[int, int]:
         """Map d -> number of elements of order d, keys ascending."""
-        census: dict[int, int] = {}
-        for o in self.element_orders:
-            census[o] = census.get(o, 0) + 1
-        return dict(sorted(census.items()))
+        if self._census is None:
+            census: dict[int, int] = {}
+            for o in self.element_orders:
+                census[o] = census.get(o, 0) + 1
+            self._census = dict(sorted(census.items()))
+        return dict(self._census)
 
     def element_name(self, x: int) -> str:
         """Canonical display name for an element index."""

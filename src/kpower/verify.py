@@ -11,10 +11,11 @@ constant number of vectorised passes:
   * doubling-with-minimum labels every component by the least vertex of
     its cycle.
 
-Each theorem check then compares a vectorised closed form against these
-graph-side metrics and reports counterexamples.  The per-instance library
-(`analysis`) stays the readable reference; the test suite pins the two
-against each other.
+Each theorem check then compares a closed form against these graph-side
+metrics and reports counterexamples.  The closed forms live in `analysis`,
+written once and vectorised over the exponents; `analysis.analyze` runs the
+same engine and the same closed forms on a single row.  The test suite pins
+the engine against the per-instance graph functions and networkx.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class BatchMetrics:
     has_cycle: np.ndarray  # some component cycle of length >= 3
     has_odd_cycle: np.ndarray  # odd length >= 3
     has_long_odd_cycle: np.ndarray  # odd length >= 5
-    has_triangle: np.ndarray
+    omega: np.ndarray  # clique number: 1 edgeless, 3 with a triangle, else 2
     all_shapes_basic: np.ndarray  # every component isolated/K2/cycle
     pseudoforest_ok: np.ndarray  # every component has edges <= vertices
     star_shape: np.ndarray
@@ -107,6 +108,7 @@ class BatchMetrics:
     comp_vertices: np.ndarray
     comp_edges: np.ndarray
     comp_cycle_len: np.ndarray  # directed cycle length (1 = fixed point, 2 = mutual pair)
+    comp_least: np.ndarray  # least (flat) vertex of each component
 
 
 def analyze_batch(S: np.ndarray) -> BatchMetrics:
@@ -155,7 +157,8 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         jump = jump[jump]
     comp = label[reach]
 
-    uniq, comp_dense = np.unique(comp, return_inverse=True)
+    # The first occurrence of a label is its component's least vertex.
+    uniq, comp_least, comp_dense = np.unique(comp, return_index=True, return_inverse=True)
     C = uniq.size
     comp_row = uniq // n
     comp_vertices = np.bincount(comp_dense, minlength=C)
@@ -188,9 +191,9 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     s2 = succ[succ]
     s3 = succ[s2]
     tri = np.flatnonzero((s3 == ident) & ~fixed)
-    has_triangle = _row_any(tri // n, R)
-
-    chi = 1 + (edge_count > 0).astype(np.int64) + has_odd_cycle.astype(np.int64)
+    has_edge = (edge_count > 0).astype(np.int64)
+    omega = np.where(_row_any(tri // n, R), 3, 1 + has_edge)
+    chi = 1 + has_edge + has_odd_cycle.astype(np.int64)
 
     return BatchMetrics(
         n=n,
@@ -205,7 +208,7 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         has_cycle=has_cycle,
         has_odd_cycle=has_odd_cycle,
         has_long_odd_cycle=has_long_odd_cycle,
-        has_triangle=has_triangle,
+        omega=omega,
         all_shapes_basic=all_shapes_basic,
         pseudoforest_ok=pseudoforest_ok,
         star_shape=star_shape,
@@ -214,6 +217,7 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         comp_vertices=comp_vertices,
         comp_edges=comp_edges,
         comp_cycle_len=comp_cycle_len,
+        comp_least=comp_least,
     )
 
 
@@ -283,19 +287,20 @@ class TheoremCheck:
     def passed(self) -> bool:
         return not self.failures
 
-    def fail(self, group: FiniteGroup, k: int, expected, got) -> None:
+    def note(self, failure: str) -> None:
+        """Keep the first MAX_COUNTEREXAMPLES failures, then one "..." marker."""
         if len(self.failures) < MAX_COUNTEREXAMPLES:
-            self.failures.append(
-                f"group={group.spec} k={k}: expected {expected}, got {got}"
-            )
-        else:
+            self.failures.append(failure)
+        elif len(self.failures) == MAX_COUNTEREXAMPLES:
             self.failures.append("...")
+
+    def fail(self, group: FiniteGroup, k: int, expected, got) -> None:
+        self.note(f"group={group.spec} k={k}: expected {expected}, got {got}")
 
     def merge(self, other: "TheoremCheck") -> None:
         self.cells += other.cells
         for f in other.failures:
-            if len(self.failures) < MAX_COUNTEREXAMPLES:
-                self.failures.append(f)
+            self.note(f)
 
 
 def _report_mismatches(check: TheoremCheck, batch: GroupBatch, bad_rows: np.ndarray,
@@ -306,34 +311,20 @@ def _report_mismatches(check: TheoremCheck, batch: GroupBatch, bad_rows: np.ndar
         check.fail(batch.group, int(batch.ks[r]), e, g)
 
 
+def _check_rows(check: TheoremCheck, batch: GroupBatch, expected: np.ndarray,
+                got: np.ndarray) -> TheoremCheck:
+    """Report every row where the closed form and the graph side differ."""
+    _report_mismatches(check, batch, np.flatnonzero(expected != got), expected, got)
+    return check
+
+
 # -- individual theorem checks ------------------------------------------------------
-
-
-def edge_formula_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
-    """Vectorised closed-form edge count for every normalised exponent."""
-    n = group.order
-    census = group.order_census()
-    divs = np.array(numth.divisors(n), dtype=np.int64)
-    cum = np.array(
-        [sum(t for d, t in census.items() if int(m) % d == 0) for m in divs],
-        dtype=np.int64,
-    )
-    k1 = np.gcd(kn - 1, n)
-    k2 = np.gcd(kn * kn - 1, n)
-    s1 = cum[np.searchsorted(divs, k1)]
-    s2 = cum[np.searchsorted(divs, k2)]
-    half = s2 - s1  # k-1 divides k^2-1, so the k1-divisors nest inside k2's
-    if np.any(half % 2):
-        raise analysis.TheoremViolation("odd element count in the mutual-edge sum")
-    return n - s1 - half // 2
 
 
 def check_edges(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("edges", cells=len(batch.ks))
-    formula = edge_formula_rows(batch.group, batch.kn)
     got = batch.metrics.edge_count
-    bad = np.flatnonzero(formula != got)
-    _report_mismatches(check, batch, bad, formula, got)
+    _check_rows(check, batch, analysis.edge_count_rows(batch.group, batch.kn), got)
     over = np.flatnonzero(got > batch.group.order - 1)
     _report_mismatches(check, batch, over, batch.group.order - 1, got)
     return check
@@ -347,18 +338,7 @@ def check_degrees(batch: GroupBatch) -> TheoremCheck:
     if group.spec.family != "cyclic":
         return check
     check.cells = len(batch.ks) * n
-    a = np.arange(n, dtype=np.int64)
-    o = n // np.gcd(n, a)
-    kn = batch.kn
-    d = np.gcd(kn, n)[:, None]
-    divides = (a[None, :] % d) == 0
-    fixes = ((kn[:, None] - 1) % o[None, :]) == 0
-    mutual = ((kn[:, None] * kn[:, None] - 1) % o[None, :]) == 0
-    formula = np.where(
-        ~divides,
-        np.where(fixes, 0, 1),
-        np.where(fixes, d - 1, np.where(mutual, d, d + 1)),
-    )
+    formula = analysis.cyclic_degree_rows(n, batch.kn, np.arange(n, dtype=np.int64))
     mismatch = formula != batch.metrics.degrees
     bad_rows = np.flatnonzero(mismatch.any(axis=1))
     for r in bad_rows[:MAX_COUNTEREXAMPLES]:
@@ -372,55 +352,20 @@ def check_degrees(batch: GroupBatch) -> TheoremCheck:
     return check
 
 
-def _valuations(kn: np.ndarray, p: int) -> np.ndarray:
-    """Per-row p-adic valuation of kn."""
-    v = np.zeros(len(kn), dtype=np.int64)
-    t = kn.copy()
-    while True:
-        m = t % p == 0
-        if not m.any():
-            return v
-        v[m] += 1
-        t[m] //= p
-
-
 def check_connectivity(batch: GroupBatch) -> TheoremCheck:
     """Order criterion vs BFS connectivity; diameter bound; cyclic pi test."""
     group = batch.group
+    n = group.order
     check = TheoremCheck("connectivity", cells=len(batch.ks))
-    kn = batch.kn
-    R = len(kn)
-    val = {p: _valuations(kn, p) for p in numth.prime_set(group.order)}
-
-    criterion = np.ones(R, dtype=bool)
-    worst = np.zeros(R, dtype=np.int64)
-    for dorder in group.order_census():
-        need = np.zeros(R, dtype=np.int64)
-        possible = np.ones(R, dtype=bool)
-        for p, alpha in numth.factorize(dorder):
-            vp = val[p]
-            ok = vp > 0
-            possible &= ok
-            need = np.maximum(need, np.where(ok, -(-alpha // np.maximum(vp, 1)), 0))
-        criterion &= possible
-        worst = np.maximum(worst, np.where(possible, need, 0))
-    bound = 2 * worst
-
+    criterion, bound = analysis.connectivity_rows(group, batch.kn)
     got = batch.metrics.connected
-    bad = np.flatnonzero(criterion != got)
-    _report_mismatches(check, batch, bad, criterion, got)
+    _check_rows(check, batch, criterion, got)
 
     if group.spec.family == "cyclic":
         # pi(n) subset of pi(k), and connected implies tree
-        pi = np.ones(R, dtype=bool)
-        for p in numth.prime_set(group.order):
-            pi &= val[p] > 0
-        bad_pi = np.flatnonzero(pi != got)
-        _report_mismatches(check, batch, bad_pi, pi, got)
-        tree_bad = np.flatnonzero(got & (batch.metrics.edge_count != group.order - 1))
-        _report_mismatches(
-            check, batch, tree_bad, group.order - 1, batch.metrics.edge_count
-        )
+        _check_rows(check, batch, analysis.cyclic_pi_rows(n, batch.kn), got)
+        tree_bad = np.flatnonzero(got & (batch.metrics.edge_count != n - 1))
+        _report_mismatches(check, batch, tree_bad, n - 1, batch.metrics.edge_count)
 
     for r in np.flatnonzero(got):
         diam = diameter(batch.graph_for_row(int(r)))
@@ -430,30 +375,17 @@ def check_connectivity(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_clique(batch: GroupBatch) -> TheoremCheck:
-    group = batch.group
     check = TheoremCheck("clique", cells=len(batch.ks))
-    kn = batch.kn
-    R = len(kn)
-    criterion = np.zeros(R, dtype=bool)
-    for m in group.order_census():
-        if m > 3:
-            criterion |= ((kn**3 - 1) % m == 0) & ((kn - 1) % m != 0)
-    omega = np.where(
-        batch.metrics.edge_count == 0, 1, np.where(batch.metrics.has_triangle, 3, 2)
-    )
-    bad = np.flatnonzero((omega == 3) != criterion)
-    _report_mismatches(check, batch, bad, criterion, omega == 3)
-    return check
+    criterion = analysis.clique_criterion_rows(batch.group, batch.kn)
+    return _check_rows(check, batch, criterion, batch.metrics.omega == 3)
 
 
-def check_chromatic(batch: GroupBatch, with_coloring: bool = True) -> TheoremCheck:
+def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     """chi <= 3, and the greedy colouring is proper with exactly chi colours."""
     check = TheoremCheck("chromatic", cells=len(batch.ks))
     chi = batch.metrics.chi
     over = np.flatnonzero(chi > 3)
     _report_mismatches(check, batch, over, "<= 3", chi)
-    if not with_coloring:
-        return check
     n = batch.group.order
     R = len(batch.ks)
     colors_mat = np.empty((R, n), dtype=np.int64)
@@ -479,70 +411,21 @@ def check_chromatic(batch: GroupBatch, with_coloring: bool = True) -> TheoremChe
 
 
 def check_forest(batch: GroupBatch) -> TheoremCheck:
-    group = batch.group
     check = TheoremCheck("forest", cells=len(batch.ks))
-    kn = batch.kn
-    R = len(kn)
-    # A cycle exists iff some element order m > 1 is coprime to k with
-    # ord_m(k) > 2; the latter is k^2 != 1 (mod m).
-    violator = np.zeros(R, dtype=bool)
-    for m in group.order_census():
-        if m > 1:
-            violator |= (np.gcd(kn, m) == 1) & ((kn * kn - 1) % m != 0)
-    criterion = ~violator
-    got = ~batch.metrics.has_cycle
-    bad = np.flatnonzero(criterion != got)
-    _report_mismatches(check, batch, bad, criterion, got)
-    return check
+    criterion = analysis.forest_criterion_rows(batch.group, batch.kn)
+    return _check_rows(check, batch, criterion, ~batch.metrics.has_cycle)
 
 
 def check_star(batch: GroupBatch) -> TheoremCheck:
-    group = batch.group
     check = TheoremCheck("star", cells=len(batch.ks))
-    kn = batch.kn
-    R = len(kn)
-    n = group.order
-    census = group.order_census()
-    if n >= 2:
-        all_divide = np.ones(R, dtype=bool)
-        for m in census:
-            all_divide &= kn % m == 0
-        case = all_divide.copy()
-        if census == analysis._CENSUS_Z4:
-            case |= kn == 2
-        if census == analysis._CENSUS_Q8:
-            case |= (kn == 2) | (kn == 6)
-    else:
-        case = np.zeros(R, dtype=bool)
-    got = batch.metrics.star_shape
-    bad = np.flatnonzero(case != got)
-    _report_mismatches(check, batch, bad, case, got)
-    return check
+    case = analysis.star_case_rows(batch.group, batch.kn) != analysis.STAR_CASE_NONE
+    return _check_rows(check, batch, case, batch.metrics.star_shape)
 
 
 def check_empty(batch: GroupBatch) -> TheoremCheck:
-    group = batch.group
     check = TheoremCheck("empty", cells=len(batch.ks))
-    kn = batch.kn
-    criterion = np.ones(len(kn), dtype=bool)
-    for m in group.order_census():
-        criterion &= (kn - 1) % m == 0
-    got = batch.metrics.edge_count == 0
-    bad = np.flatnonzero(criterion != got)
-    _report_mismatches(check, batch, bad, criterion, got)
-    return check
-
-
-_PRIMITIVE_ROOT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _primitive_root_residues(d: int) -> np.ndarray:
-    """Boolean table over residues mod d marking primitive roots."""
-    table = _PRIMITIVE_ROOT_CACHE.get(d)
-    if table is None:
-        table = np.array([numth.is_primitive_root(r, d) for r in range(d)], dtype=bool)
-        _PRIMITIVE_ROOT_CACHE[d] = table
-    return table
+    criterion = analysis.empty_criterion_rows(batch.group, batch.kn)
+    return _check_rows(check, batch, criterion, batch.metrics.edge_count == 0)
 
 
 def check_components(batch: GroupBatch) -> TheoremCheck:
@@ -557,11 +440,8 @@ def check_components(batch: GroupBatch) -> TheoremCheck:
     check.cells = int(coprime.sum())
     if check.cells == 0:
         return check
-    divs = numth.divisors(n)
-    tau_n = len(divs)
-    criterion = coprime.copy()
-    for d in divs:
-        criterion &= _primitive_root_residues(d)[kn % d]
+    tau_n = numth.tau(n)
+    criterion = coprime & analysis.primitive_root_rows(n, kn)
     count = batch.metrics.comp_count
     below = np.flatnonzero(coprime & (count < tau_n))
     _report_mismatches(check, batch, below, f">= tau {tau_n}", count)
@@ -576,16 +456,9 @@ def check_shapes(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("shapes")
     if group.spec.family != "cyclic":
         return check
-    n = group.order
-    kn = batch.kn
-    check.cells = len(kn)
-    criterion = np.array(
-        [analysis.shapes_all_basic_criterion(n, int(k)) for k in kn], dtype=bool
-    )
-    got = batch.metrics.all_shapes_basic
-    bad = np.flatnonzero(criterion != got)
-    _report_mismatches(check, batch, bad, criterion, got)
-    return check
+    check.cells = len(batch.kn)
+    criterion = analysis.shapes_basic_rows(group.order, batch.kn)
+    return _check_rows(check, batch, criterion, batch.metrics.all_shapes_basic)
 
 
 def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
@@ -638,8 +511,7 @@ def check_perfect(batch: GroupBatch) -> TheoremCheck:
     # chi = 3 with omega = 2 must witness imperfection, and vice versa for
     # pseudoforests: imperfect means an odd hole >= 5, so no triangle is
     # required for chi = 3.
-    omega3 = m.has_triangle & (m.edge_count > 0)
-    implied_imperfect = (m.chi == 3) & ~omega3
+    implied_imperfect = (m.chi == 3) & (m.omega != 3)
     bad = np.flatnonzero(perfect & implied_imperfect)
     _report_mismatches(check, batch, bad, "imperfect", "perfect")
     bad2 = np.flatnonzero(~perfect & (m.chi < 3))
@@ -660,10 +532,7 @@ def check_chair(max_n: int) -> TheoremCheck:
         while math.gcd(n, expected) != 1:
             expected += 1
         if sol.minimal_k != expected:
-            if len(check.failures) < MAX_COUNTEREXAMPLES:
-                check.failures.append(
-                    f"n={n}: expected minimal k {expected}, got {sol.minimal_k}"
-                )
+            check.note(f"n={n}: expected minimal k {expected}, got {sol.minimal_k}")
     for n in range(1, min(max_n, 256) + 1):
         ks = np.arange(2, n + 2, dtype=np.int64)
         targets = (ks[:, None] * np.arange(n, dtype=np.int64)[None, :]) % n
@@ -672,7 +541,7 @@ def check_chair(max_n: int) -> TheoremCheck:
         all_ones = (indeg == 1).all(axis=1)
         coprime = np.gcd(ks, n) == 1
         for r in np.flatnonzero(all_ones != coprime)[:MAX_COUNTEREXAMPLES]:
-            check.failures.append(
+            check.note(
                 f"n={n} k={int(ks[r])}: degree profile all (1,1) is {bool(all_ones[r])} "
                 f"but gcd = {math.gcd(n, int(ks[r]))}"
             )
@@ -771,21 +640,7 @@ def corpus_specs():
     yield from sweep_group_specs(SweepSpec(("product",), 12, min_n=2))
 
 
-def edge_counts_only(S: np.ndarray) -> np.ndarray:
-    """Per-row undirected edge counts, without full component analysis.
-
-    Edges are non-loop arcs, with mutual pairs (x^k = y and y^k = x)
-    merging into one edge.
-    """
-    R, n = S.shape
-    idx = np.arange(n, dtype=np.int64)[None, :]
-    fixed = S == idx
-    back = np.take_along_axis(S, S, axis=1) == idx
-    mutual = back & ~fixed
-    return (~fixed).sum(axis=1) - mutual.sum(axis=1) // 2
-
-
-def run_verification(spec: SweepSpec, with_coloring: bool = True) -> list[TheoremCheck]:
+def run_verification(spec: SweepSpec) -> list[TheoremCheck]:
     """Run the selected theorem checks over the sweep, merging per-group results."""
     results = {name: TheoremCheck(name) for name in spec.theorems}
     batch_names = [name for name in spec.theorems if name in _BATCH_CHECKS]
@@ -796,11 +651,7 @@ def run_verification(spec: SweepSpec, with_coloring: bool = True) -> list[Theore
             continue
         batch = GroupBatch.build(group, ks)
         for name in batch_names:
-            if name == "chromatic":
-                partial = check_chromatic(batch, with_coloring=with_coloring)
-            else:
-                partial = _BATCH_CHECKS[name](batch)
-            results[name].merge(partial)
+            results[name].merge(_BATCH_CHECKS[name](batch))
     if "chair" in spec.theorems:
         results["chair"].merge(check_chair(spec.max_n))
     return [results[name] for name in spec.theorems]

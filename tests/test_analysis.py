@@ -3,6 +3,7 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import brute_degrees, pairwise_edges
@@ -24,6 +25,7 @@ from kpower.analysis import (
     is_perfect,
     is_star,
     min_covering_exponent,
+    primitive_root_rows,
     shapes_all_basic_criterion,
     theorem16_structure,
 )
@@ -300,6 +302,15 @@ class TestComponentCountCyclic:
         with pytest.raises(ValueError):
             component_count_cyclic(6, 4)
 
+    def test_criterion_is_primitive_root_mod_every_divisor(self):
+        # the engine tests ord_n(k) = phi(n) only; check the definition itself
+        for n in range(1, 200):
+            ks = np.arange(1, n + 1, dtype=np.int64)
+            expected = [math.gcd(n, int(k)) == 1
+                        and all(numth.is_primitive_root(int(k), d) for d in numth.divisors(n))
+                        for k in ks]
+            assert primitive_root_rows(n, ks).tolist() == expected, n
+
     def test_bound_and_criterion_sweep(self):
         for n in range(1, 80):
             for k in range(2, n + 2):
@@ -417,7 +428,12 @@ class TestAnalyze:
         for spec in ("cyclic:48", "sym:4", "dihedral:10", "quaternion:4", "product:2x3x5"):
             g = build_group(spec)
             for k in range(2, g.order + 2):
-                assert analyze(g, k).discrepancies == [], (spec, k)
+                report = analyze(g, k)
+                assert report.discrepancies == [], (spec, k)
+                shapes: dict[str, int] = {}
+                for p in components(build_undirected(g, k)):
+                    shapes[p.shape_tag] = shapes.get(p.shape_tag, 0) + 1
+                assert list(report.component_shapes.items()) == list(shapes.items()), (spec, k)
 
     def test_json_round_trip_field_order(self):
         import json

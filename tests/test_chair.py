@@ -4,13 +4,8 @@ import math
 
 import pytest
 
-from kpower.chair import (
-    degree_profile,
-    minimal_whistles_by_simulation,
-    render_trace,
-    solve_chairs,
-    whistle_positions,
-)
+from conftest import minimal_whistles_by_simulation, whistle_positions
+from kpower.chair import degree_profile, render_trace, solve_chairs
 from kpower.graphs import build_undirected, components
 from kpower.groups import build_group
 

@@ -124,17 +124,6 @@ class TestVerify:
                            "--theorem", "components")
         assert code == 0
 
-    def test_k_all_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "20",
-                           "--k-all", "--theorem", "edges")
-        assert code == 0
-        assert "210 cells" in out  # sum of n over n = 1..20
-
-    def test_k_all_excludes_k_max(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["verify", "--family", "cyclic", "--max-n", "5", "--k-all", "--k-max", "4"])
-        assert info.value.code == 2
-
     def test_bad_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--family", "rings", "--max-n", "5"])

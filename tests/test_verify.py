@@ -1,10 +1,12 @@
 """The batched engine against the per-instance library, plus sweep plumbing."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import kpower.verify as V
-from kpower.analysis import analyze, chromatic
+from conftest import edge_counts_only
+from kpower.analysis import chromatic, clique_number, is_forest, is_perfect, is_star
 from kpower.graphs import build_undirected, components
 from kpower.groups import build_group
 
@@ -37,7 +39,7 @@ class TestSuccessorRows:
 
 
 class TestBatchAgainstLibrary:
-    """Every engine metric must agree with the readable per-instance path."""
+    """Every engine metric must agree with the per-instance graph route and networkx."""
 
     def test_row_metrics(self, batch):
         g = batch.group
@@ -45,19 +47,20 @@ class TestBatchAgainstLibrary:
         step = max(1, len(batch.ks) // 11)
         for r in range(0, len(batch.ks), step):
             k = int(batch.ks[r])
-            report = analyze(g, k)
-            assert report.discrepancies == []
-            assert int(m.edge_count[r]) == report.edges
-            assert int(m.comp_count[r]) == report.component_count
-            assert bool(m.connected[r]) == report.is_connected
-            assert int(m.chi[r]) == report.chromatic_number
-            omega = 1 if m.edge_count[r] == 0 else (3 if m.has_triangle[r] else 2)
-            assert omega == report.clique_number
-            assert bool(~m.has_cycle[r]) == report.is_forest
-            assert bool(m.star_shape[r]) == report.is_star
-            assert bool(~m.has_long_odd_cycle[r]) == report.is_perfect
             gr = build_undirected(g, k)
+            profiles = components(gr)
+            h = nx.Graph(gr.edges())
+            h.add_nodes_from(range(g.order))
+            assert int(m.edge_count[r]) == gr.edge_count == h.number_of_edges()
             assert m.degrees[r].tolist() == [gr.degree(v) for v in range(g.order)]
+            assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
+            assert bool(m.connected[r]) == (len(profiles) == 1)
+            omega, _ = clique_number(gr, g, k)
+            assert int(m.omega[r]) == omega == max(len(c) for c in nx.find_cliques(h))
+            assert int(m.chi[r]) == chromatic(gr)[0]
+            assert bool(~m.has_cycle[r]) == is_forest(g, k, gr)[0] == nx.is_forest(h)
+            assert bool(m.star_shape[r]) == is_star(g, k, gr)[0]
+            assert bool(~m.has_long_odd_cycle[r]) == is_perfect(gr)
 
     def test_component_tables(self, batch):
         g = batch.group
@@ -71,9 +74,11 @@ class TestBatchAgainstLibrary:
             engine_cycles = sorted(int(c) for c in m.comp_cycle_len[mask] if c >= 3)
             library_cycles = sorted(p.cycle_length for p in profiles if p.cycle_length)
             assert engine_cycles == library_cycles
+            least = sorted((m.comp_least[mask] - r * g.order).tolist())
+            assert least == [p.vertices[0] for p in profiles]
 
     def test_edge_counts_only_shortcut(self, batch):
-        lean = V.edge_counts_only(batch.S)
+        lean = edge_counts_only(batch.S)
         assert np.array_equal(lean, batch.metrics.edge_count)
 
     def test_row_graphs_match_library(self, batch):
@@ -92,9 +97,6 @@ class TestChecks:
             check = fn(batch)
             assert check.passed, (batch.group.spec, name, check.failures[:2])
 
-    def test_chromatic_coloring_mode(self, batch):
-        assert V.check_chromatic(batch, with_coloring=True).passed
-
     def test_detects_planted_failure(self):
         # corrupt one successor entry; several checks must light up
         group = build_group("cyclic:12")
@@ -104,6 +106,27 @@ class TestChecks:
         batch = V.GroupBatch(group, ks, V.normalized_exponents(ks, 12), S, V.analyze_batch(S))
         failing = [name for name, fn in V._BATCH_CHECKS.items() if not fn(batch).passed]
         assert "degrees" in failing or "edges" in failing
+
+
+class TestTheoremCheck:
+    def test_counterexamples_are_capped_with_one_marker(self):
+        group = build_group("cyclic:3")
+        check = V.TheoremCheck("edges")
+        for k in range(2, 14):
+            check.fail(group, k, 0, 1)
+        assert len(check.failures) == V.MAX_COUNTEREXAMPLES + 1
+        assert check.failures[-1] == "..."
+        assert "..." not in check.failures[:-1]
+
+        merged = V.TheoremCheck("edges")
+        merged.fail(group, 99, 0, 1)
+        first = merged.failures[0]
+        merged.merge(check)
+        assert merged.failures == [first] + check.failures[:4] + ["..."]
+
+        fresh = V.TheoremCheck("edges")
+        fresh.merge(check)
+        assert fresh.failures == check.failures
 
 
 class TestSweepPlumbing:
