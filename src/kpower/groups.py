@@ -336,9 +336,11 @@ def _build_table(group: FiniteGroup) -> np.ndarray:
         rotation = np.where(s, np.where(t, (rot_minus + half // 2) % half, rot_minus), rot_plus)
         reflected = s ^ t
         return (rotation + np.where(reflected, half, 0)).astype(np.int32)
-    # symmetric: plain double loop (order < 512 means n <= 5 here)
-    table = np.zeros((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(n):
-            table[x, y] = group._op_raw(x, y)
-    return table
+    # symmetric (order < 512 means n <= 5 here): compose the one-line
+    # arrays, (x * y)[i] = x[y[i]], then rank each product by its base-m
+    # code; the enumeration is lexicographic, so the codes ascend.
+    perms = np.array(group._perms, dtype=np.int64)
+    m = perms.shape[1]
+    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    products = perms[idx[:, None, None], perms[None, :, :]]
+    return np.searchsorted(perms @ weights, products @ weights).astype(np.int32)

@@ -2,14 +2,20 @@
 
 A whole group's worth of exponents is analysed in one shot: the successor
 maps for every k form a matrix whose rows are glued into a single disjoint
-functional graph on R*n vertices.  Component structure then falls out of a
-constant number of vectorised passes:
+functional graph on R*n vertices.  Edges and component structure then fall
+out of a constant number of vectorised passes, none of them a hash or a
+stable argsort:
 
+  * edge dedup by mask: an arc x -> s(x) with x != s(x) repeats another
+    edge exactly when s(s(x)) = x and x > s(x), so those arcs are dropped
+    and the remaining keys lo*N + hi are already distinct; one plain sort
+    of them lists the edges in global (u, v) order;
   * leaf peeling exposes the directed cycles (tails of power maps are
     short, so the loop runs only a handful of rounds);
   * pointer jumping walks every vertex to its cycle;
   * doubling-with-minimum labels every component by the least vertex of
-    its cycle.
+    its cycle; labels are vertex ids below R*n, so a presence mask and a
+    running count number the components in ascending label order.
 
 Each theorem check then compares a closed form against these graph-side
 metrics and reports counterexamples.  The closed forms live in `analysis`,
@@ -120,11 +126,15 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     fixed = succ == ident
     fixed_count = fixed.reshape(R, n).sum(axis=1)
 
-    # Undirected simple edges: symmetrise non-loop arcs, merge mutual pairs.
-    moving = ~fixed
-    lo = np.minimum(ident[moving], succ[moving])
-    hi = np.maximum(ident[moving], succ[moving])
-    keys = np.unique(lo * N + hi)
+    # Undirected simple edges: every non-loop arc x -> s(x) is one, except
+    # that a mutual pair (s(s(x)) = x) gives the same edge twice, so the
+    # arc leaving its larger end is dropped.  The kept keys are distinct,
+    # and sorting them puts the edges in global (u, v) order.
+    s2 = succ[succ]
+    keep = ~fixed & ((s2 != ident) | (ident < succ))
+    tail = ident[keep]
+    head = succ[keep]
+    keys = np.sort(np.minimum(tail, head) * N + np.maximum(tail, head))
     edge_u = keys // N
     edge_v = keys % N
     edge_row = edge_u // n
@@ -157,9 +167,16 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         jump = jump[jump]
     comp = label[reach]
 
-    # The first occurrence of a label is its component's least vertex.
-    uniq, comp_least, comp_dense = np.unique(comp, return_index=True, return_inverse=True)
+    # Labels are vertex ids below N: a presence mask numbers the components
+    # densely in ascending label order, and a scattered minimum gives each
+    # component's least vertex.
+    present = np.zeros(N, dtype=bool)
+    present[comp] = True
+    uniq = np.flatnonzero(present)
     C = uniq.size
+    comp_dense = (np.cumsum(present) - 1)[comp]
+    comp_least = np.full(C, N, dtype=np.int64)
+    np.minimum.at(comp_least, comp_dense, ident)
     comp_row = uniq // n
     comp_vertices = np.bincount(comp_dense, minlength=C)
     comp_edges = np.bincount(comp_dense[edge_u], minlength=C)
@@ -188,7 +205,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         star_shape = np.zeros(R, dtype=bool)
 
     # Triangles: x with x^{k^3} = x but x^k != x span a directed 3-cycle.
-    s2 = succ[succ]
     s3 = succ[s2]
     tri = np.flatnonzero((s3 == ident) & ~fixed)
     has_edge = (edge_count > 0).astype(np.int64)
@@ -258,8 +274,10 @@ class GroupBatch:
     def iter_row_graphs(self):
         """Per-row KPowerGraphs rebuilt from the batch edge arrays.
 
-        The edge keys are globally sorted, so each adjacency list comes out
-        ascending without a per-list sort.
+        The mask dedup leaves one distinct key lo*N + hi per edge, and
+        `analyze_batch` sorts those keys, so the edges arrive in global
+        (u, v) order: each row's edges are one contiguous run, and each
+        adjacency list comes out ascending without a per-list sort.
         """
         m = self.metrics
         n = self.group.order

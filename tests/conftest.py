@@ -95,3 +95,51 @@ def minimal_whistles_by_simulation(n: int) -> int:
             seen[pos] += 1
         if all(c == 1 for c in seen):
             return w
+
+
+def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
+    """Edge and component tables of a successor matrix by the np.unique route.
+
+    This is the sort-based formulation the batch engine used before its
+    mask dedup, kept as the reference it is pinned against.  Components
+    are labelled by walking each vertex into its cycle one step at a time
+    and taking the least vertex of that cycle; the first occurrence of a
+    label is then its component's least vertex.
+    """
+    R, n = S.shape
+    N = R * n
+    succ = (S.astype(np.int64) + (np.arange(R, dtype=np.int64) * n)[:, None]).ravel()
+    ident = np.arange(N, dtype=np.int64)
+    moving = succ != ident
+    lo = np.minimum(ident[moving], succ[moving])
+    hi = np.maximum(ident[moving], succ[moving])
+    keys = np.unique(lo * N + hi)
+    edge_u = keys // N
+
+    step = succ.tolist()
+    comp = np.empty(N, dtype=np.int64)
+    on_cycle = np.zeros(N, dtype=bool)
+    for x in range(N):
+        seen: dict[int, int] = {}
+        path = []
+        y = x
+        while y not in seen:
+            seen[y] = len(path)
+            path.append(y)
+            y = step[y]
+        cycle = path[seen[y]:]
+        comp[x] = min(cycle)
+        on_cycle[cycle] = True
+
+    uniq, comp_least, comp_dense = np.unique(comp, return_index=True, return_inverse=True)
+    C = uniq.size
+    return {
+        "edge_u": edge_u,
+        "edge_v": keys % N,
+        "edge_row": edge_u // n,
+        "comp_row": uniq // n,
+        "comp_vertices": np.bincount(comp_dense, minlength=C),
+        "comp_edges": np.bincount(comp_dense[edge_u], minlength=C),
+        "comp_cycle_len": np.bincount(comp_dense[on_cycle], minlength=C),
+        "comp_least": comp_least,
+    }

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import iterated_power
@@ -201,6 +202,13 @@ class TestTableCache:
             for x in range(g.order):
                 for y in range(g.order):
                     assert int(g._table[x, y]) == g._op_raw(x, y)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_symmetric_table_matches_raw_op(self, n):
+        g = build_group(f"sym:{n}")
+        assert g._table is not None and g._table.dtype == np.int32
+        expected = [[g._op_raw(x, y) for y in range(g.order)] for x in range(g.order)]
+        assert g._table.tolist() == expected
 
     def test_no_table_above_limit(self):
         assert build_group("sym:6")._table is None
