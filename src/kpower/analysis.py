@@ -28,7 +28,6 @@ from .graphs import (
     SHAPE_TREE,
     SHAPE_UNICYCLIC,
     KPowerGraph,
-    build_directed,
     build_undirected,
     components,
     cycle_lengths,
@@ -37,7 +36,7 @@ from .graphs import (
     shape_tag,
     undirected_from_successor,
 )
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, build_group, successor_rows
 
 # Order censuses that identify the two exceptional star-graph groups:
 # the cyclic group of order 4, and the quaternion group of order 8
@@ -650,13 +649,12 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     outside any theorem's hypothesis.
     """
     n = group.order
-    directed = build_directed(group, k)
-    kn = directed.k_normalized
-    gr = undirected_from_successor(directed.successor, k, kn)
-    S = np.array([directed.successor], dtype=np.int64)
+    kn = normalize_exponent(k, n)
     # The row is labelled by kn: a raw k may not fit in int64, and the
     # graph depends on k only through kn.
     kns = np.array([kn], dtype=np.int64)
+    S = successor_rows(group, kns)
+    gr = undirected_from_successor(S[0].tolist(), k, kn)
     batch = verify.GroupBatch(group, kns, kns, S, verify.analyze_batch(S))
     m = batch.metrics
     discrepancies: list[str] = []

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup
+import numpy as np
+
+from .groups import FiniteGroup, successor_rows
 
 SHAPE_ISOLATED = "isolated"
 SHAPE_K2 = "k2"
@@ -94,7 +96,7 @@ def shape_tag(shape: str, cycle_length: int | None) -> str:
 def build_directed(group: FiniteGroup, k: int) -> DirectedKPowerGraph:
     """The functional graph x -> x**k on the group's element indices."""
     k_norm = normalize_exponent(k, group.order)
-    successor = [group.power(x, k_norm) for x in range(group.order)]
+    successor = successor_rows(group, [k_norm])[0].tolist()
     return DirectedKPowerGraph(group.order, k, k_norm, successor)
 
 
@@ -228,8 +230,8 @@ def diameter(gr: KPowerGraph) -> int:
 def to_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
     """Byte-stable DOT rendering with canonical element-name labels."""
     lines = [f'graph "{group.spec} k={gr.k}" {{']
-    for v in range(gr.group_order):
-        lines.append(f'  {v} [label="{group.element_name(v)}"];')
+    for v, name in enumerate(group.element_names()):
+        lines.append(f'  {v} [label="{name}"];')
     for u, v in gr.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -238,10 +240,10 @@ def to_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
 
 def to_json_dict(group: FiniteGroup, gr: KPowerGraph) -> dict:
     """Stable JSON document: spec string, k, sorted edges, fixed points."""
-    successor = [group.power(x, gr.k_normalized) for x in range(group.order)]
+    successor = successor_rows(group, [gr.k_normalized])[0]
     return {
         "group": str(group.spec),
         "k": gr.k,
         "edges": [[u, v] for u, v in gr.edges()],
-        "fixed_points": [x for x, s in enumerate(successor) if s == x],
+        "fixed_points": np.flatnonzero(successor == np.arange(group.order)).tolist(),
     }

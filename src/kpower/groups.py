@@ -15,6 +15,13 @@ Groups are immutable once built: the operation, every element's order and
 (below order 512) a full Cayley table are materialised by ``build_group``.
 Group orders are capped at 2**16; larger requests are rejected rather than
 attempted.
+
+The power map x -> x**k is computed in one place, ``successor_rows``: a
+vectorised closed form per family over a whole array of exponents.  The
+sweep (``verify``), the one-row graph builders and the exports (``graphs``)
+and ``analysis.analyze`` all call it; ``FiniteGroup.power`` is the scalar
+public API, written from the operation alone, and serves as its test
+reference.
 """
 
 from __future__ import annotations
@@ -126,6 +133,12 @@ class FiniteGroup:
     def element_name(self, x: int) -> str:
         """Canonical display name for an element index."""
         self._check_index(x)
+        return self._name(x)
+
+    def element_names(self) -> list[str]:
+        return [self._name(x) for x in range(self.order)]
+
+    def _name(self, x: int) -> str:
         family = self.spec.family
         if family == "cyclic":
             return str(x)
@@ -139,9 +152,6 @@ class FiniteGroup:
             return "b" if i == 0 else ("ab" if i == 1 else f"a{i}b")
         # product
         return "(" + ",".join(str(d) for d in self._decode(x)) + ")"
-
-    def element_names(self) -> list[str]:
-        return [self.element_name(x) for x in range(self.order)]
 
     # -- realization of the operation ---------------------------------------
 
@@ -337,10 +347,67 @@ def _build_table(group: FiniteGroup) -> np.ndarray:
         reflected = s ^ t
         return (rotation + np.where(reflected, half, 0)).astype(np.int32)
     # symmetric (order < 512 means n <= 5 here): compose the one-line
-    # arrays, (x * y)[i] = x[y[i]], then rank each product by its base-m
-    # code; the enumeration is lexicographic, so the codes ascend.
+    # arrays, (x * y)[i] = x[y[i]], then rank each product.
     perms = np.array(group._perms, dtype=np.int64)
+    products = perms[idx[:, None, None], perms[None, :, :]]
+    return _perm_ranks(perms, products).astype(np.int32)
+
+
+def _perm_ranks(perms: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Element index of each one-line array along the last axis of ``products``.
+
+    Ranks by the base-m code of the array: the enumeration is lexicographic,
+    so the codes of ``perms`` ascend and ``searchsorted`` finds each product.
+    """
     m = perms.shape[1]
     weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    products = perms[idx[:, None, None], perms[None, :, :]]
-    return np.searchsorted(perms @ weights, products @ weights).astype(np.int32)
+    return np.searchsorted(perms @ weights, products @ weights)
+
+
+def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
+    """Matrix S with S[r, x] = x**ks[r], one row per exponent (int64, C-contiguous).
+
+    This is the package's one power map; every family has a vectorised
+    closed form.  Exponents are reduced modulo the relevant element orders
+    before any product, so no entry overflows int64.
+    """
+    n = group.order
+    ks = np.asarray(ks, dtype=np.int64)
+    family = group.spec.family
+    idx = np.arange(n, dtype=np.int64)
+    if family == "cyclic":
+        return ((ks % n)[:, None] * idx[None, :]) % n
+    if family == "product":
+        out = np.zeros((len(ks), n), dtype=np.int64)
+        for stride, m in zip(group._strides, group._moduli):
+            digit = (idx // stride) % m
+            out += (((ks % m)[:, None] * digit[None, :]) % m) * stride
+        return out
+    if family in ("dihedral", "quaternion"):
+        # a^i -> a^(ik mod h) on the h rotations; a reflection a^i b has
+        # order 2 (dihedral) or 4 (quaternion: squared a^N, cubed a^(i+N) b,
+        # with N = h/2), so its powers are one of a few fixed rows.
+        h = n // 2
+        i = idx[:h]
+        rotations = ((ks % h)[:, None] * i[None, :]) % h
+        reflection_powers = [np.zeros(h, dtype=np.int64), h + i]
+        if family == "quaternion":
+            reflection_powers += [np.full(h, h // 2, dtype=np.int64), h + (i + h // 2) % h]
+        reflections = np.stack(reflection_powers)[ks % len(reflection_powers)]
+        return np.hstack([rotations, reflections])
+    # symmetric: a per-element power table x^0 .. x^(o(x)-1), read at
+    # k mod o(x); step j composes every x^j with x (one vectorised
+    # composition per step, max o(x) - 1 steps) and ranks the products.
+    perms = np.array(group._perms, dtype=np.int64)
+    orders = np.array(group.element_orders, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(orders, out=offsets[1:])
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    flat[offsets[:-1]] = group.identity
+    active, power = idx, perms
+    for j in range(1, int(orders.max())):
+        keep = orders[active] > j
+        active, power = active[keep], power[keep]
+        flat[offsets[active] + j] = _perm_ranks(perms, power)
+        power = np.take_along_axis(power, perms[active], axis=1)
+    return flat[offsets[:-1][None, :] + ks[:, None] % orders[None, :]]

@@ -1,10 +1,11 @@
 """Sweep verification: closed forms against brute force, at scale.
 
 A whole group's worth of exponents is analysed in one shot: the successor
-maps for every k form a matrix whose rows are glued into a single disjoint
-functional graph on R*n vertices.  Edges and component structure then fall
-out of a constant number of vectorised passes, none of them a hash or a
-stable argsort:
+maps for every k form a matrix (``groups.successor_rows``, the package's one
+vectorised power map, re-exported here) whose rows are glued into a single
+disjoint functional graph on R*n vertices.  Edges and component structure
+then fall out of a constant number of vectorised passes, none of them a
+hash or a stable argsort:
 
   * edge dedup by mask: an arc x -> s(x) with x != s(x) repeats another
     edge exactly when s(s(x)) = x and x > s(x), so those arcs are dropped
@@ -34,7 +35,7 @@ import numpy as np
 from . import analysis, numth
 from .chair import solve_chairs
 from .graphs import KPowerGraph, undirected_from_successor, diameter
-from .groups import FiniteGroup, GroupSpec, build_group
+from .groups import FiniteGroup, GroupSpec, build_group, successor_rows
 
 THEOREMS = (
     "edges",
@@ -57,36 +58,6 @@ MAX_COUNTEREXAMPLES = 5
 
 
 # -- batched successor analysis --------------------------------------------------
-
-
-def successor_rows(group: FiniteGroup, ks: np.ndarray) -> np.ndarray:
-    """Matrix S with S[r, x] = x**ks[r], one row per exponent."""
-    n = group.order
-    ks = np.asarray(ks, dtype=np.int64)
-    family = group.spec.family
-    if family == "cyclic":
-        return (ks[:, None] * np.arange(n, dtype=np.int64)[None, :]) % n
-    if family == "product":
-        out = np.zeros((len(ks), n), dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        for stride, m in zip(group._strides, group._moduli):
-            digit = (idx // stride) % m
-            out += ((ks[:, None] * digit[None, :]) % m) * stride
-        return out
-    # Generic route: a per-element power table (x^0 .. x^{o(x)-1}) indexed
-    # by k mod o(x).  Total size is sum of element orders, which is small
-    # at the supported scales.
-    orders = np.array(group.element_orders, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(orders, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    for x in range(n):
-        base = int(offsets[x])
-        cur = group.identity
-        for j in range(int(orders[x])):
-            flat[base + j] = cur
-            cur = group.op(cur, x)
-    return flat[offsets[:-1][None, :] + (ks[:, None] % orders[None, :])]
 
 
 @dataclass

@@ -216,6 +216,34 @@ class TestFromSuccessor:
                 assert via_succ.adjacency == build_undirected(g, k).adjacency
 
 
+class TestOneRowPath:
+    """The one-row builders read the shared power map; pin them to the definition."""
+
+    SPECS = ("cyclic:1", "cyclic:12", "product:2x3x4", "dihedral:1", "dihedral:7",
+             "quaternion:2", "quaternion:5", "sym:1", "sym:2", "sym:4")
+
+    @staticmethod
+    def exponents(g):
+        o = g.order
+        return sorted({2, 3, 4, 5, o, o + 1, o + 2, 3 * o + 7, 2**63 - 1} - {0, 1})
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_successor_is_the_power_map(self, spec):
+        g = build_group(spec)
+        for k in self.exponents(g):
+            d = build_directed(g, k)
+            assert d.successor == [g.power(x, d.k_normalized) for x in range(g.order)]
+            assert all(type(s) is int for s in d.successor)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_exported_fixed_points(self, spec):
+        g = build_group(spec)
+        for k in self.exponents(g):
+            doc = to_json_dict(g, build_undirected(g, k))
+            assert doc["fixed_points"] == [x for x in range(g.order) if g.power(x, k) == x]
+            json.dumps(doc)
+
+
 class TestExports:
     def test_dot_golden(self):
         expected = (

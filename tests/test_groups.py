@@ -1,13 +1,17 @@
 """Group layer: canonical enumerations, operation axioms, order censuses."""
 
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import iterated_power
 from kpower import numth
-from kpower.groups import MAX_ORDER, build_group, parse_group_spec
+from kpower.groups import MAX_ORDER, build_group, parse_group_spec, successor_rows
 
 # Exhaustive-scan corpus: one of each family, orders <= 48.
 SMALL_SPECS = (
@@ -213,3 +217,86 @@ class TestTableCache:
     def test_no_table_above_limit(self):
         assert build_group("sym:6")._table is None
         assert build_group("cyclic:600")._table is None
+
+
+# Every family, with the groups of order 1 and 2 among them.
+POWER_MAP_SPECS = (
+    "cyclic:1",
+    "cyclic:2",
+    "cyclic:12",
+    "cyclic:31",
+    "product:1",
+    "product:2",
+    "product:2x3x4",
+    "product:6x8",
+    "dihedral:1",
+    "dihedral:2",
+    "dihedral:6",
+    "dihedral:9",
+    "quaternion:2",
+    "quaternion:3",
+    "quaternion:5",
+    "sym:1",
+    "sym:2",
+    "sym:3",
+    "sym:4",
+)
+
+# Exponents past int64's square root: a product k * x before reduction overflows.
+HUGE_EXPONENTS = (2**62 + 3, 2**63 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_group(spec):
+    return build_group(spec)
+
+
+def assert_rows_match_power(g, ks, xs=None):
+    S = successor_rows(g, ks)
+    assert S.dtype == np.int64 and S.flags.c_contiguous
+    assert S.shape == (len(ks), g.order)
+    xs = range(g.order) if xs is None else xs
+    for r, k in enumerate(ks):
+        assert [int(S[r, x]) for x in xs] == [g.power(x, k) for x in xs], (str(g.spec), k)
+
+
+@st.composite
+def power_map_cases(draw):
+    """A group and exponents at k = 0 or 1 mod o(G), beyond o(G) + 1, and at random."""
+    g = cached_group(draw(st.sampled_from(POWER_MAP_SPECS)))
+    o = g.order
+    aligned = st.builds(lambda m, r: m * o + r, st.integers(0, 4), st.sampled_from((0, 1)))
+    beyond = st.integers(min_value=o + 2, max_value=6 * o + 6)
+    anywhere = st.integers(min_value=0, max_value=2**63 - 1)
+    ks = draw(st.lists(st.one_of(aligned, beyond, anywhere), min_size=1, max_size=5))
+    return g, ks
+
+
+class TestSuccessorRows:
+    """The vectorised power map against the scalar definition, element by element."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(power_map_cases())
+    def test_matches_power(self, case):
+        g, ks = case
+        assert_rows_match_power(g, ks)
+
+    @pytest.mark.parametrize("spec", ("quaternion:2", "quaternion:3", "quaternion:6"))
+    def test_every_quaternion_reflection_residue(self, spec):
+        g = cached_group(spec)
+        ks = [m * 4 + r for r in range(4) for m in (0, 1, 5)]
+        ks += [2**62 + r for r in range(4)] + [2**63 - 4 + r for r in range(4)]
+        assert_rows_match_power(g, ks)
+
+    @pytest.mark.parametrize("spec", ("cyclic:1000", "product:20x25x30", "dihedral:97", "quaternion:50", "sym:5"))
+    def test_huge_exponents_do_not_overflow(self, spec):
+        g = build_group(spec)
+        xs = sorted(random.Random(spec).sample(range(g.order), min(g.order, 600)))
+        assert_rows_match_power(g, list(HUGE_EXPONENTS), xs)
+
+    @pytest.mark.parametrize("spec", ("dihedral:2053", "quaternion:1031", "sym:7"))
+    def test_large_groups_on_sampled_elements(self, spec):
+        g = build_group(spec)
+        xs = sorted(random.Random(spec).sample(range(g.order), 300))
+        ks = [2, 3, 4, 5, 7, 8, g.order, g.order + 1, g.order + 2, 3 * g.order + 5, *HUGE_EXPONENTS]
+        assert_rows_match_power(g, ks, xs)
