@@ -34,9 +34,8 @@ from .graphs import (
     diameter,
     normalize_exponent,
     shape_tag,
-    undirected_from_successor,
 )
-from .groups import FiniteGroup, build_group, successor_rows
+from .groups import FiniteGroup, build_group
 
 # Order censuses that identify the two exceptional star-graph groups:
 # the cyclic group of order 4, and the quaternion group of order 8
@@ -652,10 +651,8 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     kn = normalize_exponent(k, n)
     # The row is labelled by kn: a raw k may not fit in int64, and the
     # graph depends on k only through kn.
-    kns = np.array([kn], dtype=np.int64)
-    S = successor_rows(group, kns)
-    gr = undirected_from_successor(S[0].tolist(), k, kn)
-    batch = verify.GroupBatch(group, kns, kns, S, verify.analyze_batch(S))
+    batch = verify.GroupBatch.build(group, np.array([kn], dtype=np.int64))
+    gr = batch.graph_for_row(0)
     m = batch.metrics
     discrepancies: list[str] = []
 

@@ -7,14 +7,19 @@ Subcommands:
   chair    the shifting-chair riddle for one n
   sweep    CSV matrix of one report parameter across k
 
+``--config FILE`` supplies the chosen subcommand's defaults from a JSON
+object; each value is checked as argparse checks the flag (type, choices,
+true/false for switches, a list for repeatable flags).
+
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error.  Output is deterministic; ``analyze`` adds a timestamp field unless
---no-meta is given.
+error, including a bad config value.  Output is deterministic; ``analyze``
+adds a timestamp field unless --no-meta is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -52,7 +57,33 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, without its pure-Python encoder.
+
+    An indent makes ``json.dumps`` walk the document in Python, which is
+    slow on the long int lists of an export; those are joined here in one
+    pass, and only scalars go through the C encoder.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    # ``newline`` is a line break plus the indentation of the current level.
+    inner = newline + "  "
+    if type(value) is list and value:
+        if all(type(v) is int for v in value):
+            return "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+               for v in value):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            return "[" + inner + ("," + inner).join(pair % (u, v) for u, v in value) + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_value(v, inner) for v in value) + newline + "]"
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (json.dumps(key) + ": " + _json_value(v, inner) for key, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # Scalars, empty containers and anything unusual: the reference encoder.
+    # JSON strings never hold a raw line break, so re-indenting is exact.
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _text_report(doc: dict, prefix: str = "") -> str:
@@ -267,32 +298,73 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as subparser defaults; explicit flags win."""
-    if "--config" not in argv:
-        return argv
+    """Fold --config file values in as the chosen subcommand's defaults; explicit flags win.
+
+    The values are checked against the subcommand's actions as argparse
+    would check a flag; a bad one raises ValueError.
+    """
     at = argv.index("--config")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
     with open(path, encoding="utf-8") as handle:
         defaults = json.load(handle)
-    for action in parser._subparsers._group_actions:
-        for sub_parser in action.choices.values():
-            known = {a.dest for a in sub_parser._actions}
-            sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-            for sub_action in sub_parser._actions:
-                if sub_action.dest in defaults:
-                    sub_action.required = False
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    (sub_action,) = parser._subparsers._group_actions
+    command = next((arg for arg in rest if arg in sub_action.choices), None)
+    if command is None:
+        return rest  # argparse reports the missing subcommand
+    sub_parser = sub_action.choices[command]
+    actions = {a.dest: a for a in sub_parser._actions if a.dest in defaults}
+    for dest, action in actions.items():
+        _check_config_value(command, action, defaults[dest])
+        action.required = False
+    sub_parser.set_defaults(**{dest: defaults[dest] for dest in actions})
     return rest
 
 
+def _check_config_value(command: str, action: argparse.Action, value) -> None:
+    """Raise ValueError unless ``value`` is one the flag behind ``action`` could give."""
+    where = f"{command} {action.dest!r}"
+    if isinstance(action, argparse._StoreTrueAction):
+        if type(value) is not bool:
+            raise ValueError(f"{where} must be true or false, not {value!r}")
+        return
+    if value is None and action.default is None and not action.required:
+        return
+    items = value
+    if isinstance(action, argparse._AppendAction):
+        if type(value) is not list:
+            raise ValueError(f"{where} must be a list, not {value!r}")
+    else:
+        items = [value]
+    kind = action.type or str
+    for item in items:
+        if type(item) is not kind:
+            raise ValueError(f"{where} must be of type {kind.__name__}, not {item!r}")
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"{where} must be one of {', '.join(map(str, action.choices))}, not {item!r}")
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config: built on first use, never mutated."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config(parser, argv)
-    except (OSError, json.JSONDecodeError, IndexError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 2
+    if "--config" in argv:
+        # Config values become parser defaults, so they get a parser of their
+        # own; the shared one never carries them into a later call.
+        parser = build_parser()
+        try:
+            argv = _apply_config(parser, argv)
+        except (OSError, ValueError, IndexError) as exc:
+            print(f"error: bad config: {exc}", file=sys.stderr)
+            return 2
+    else:
+        parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -8,6 +8,16 @@ Since every vertex has out-degree one, each undirected component carries
 at most one cycle (the graphs are pseudoforests); the component classifier
 below leans on that.
 
+The undirected edges come from the successor map s by one rule, shared
+with the sweep engine (``verify.analyze_batch``): every arc x -> s(x) with
+x != s(x) is an edge, except that a mutual pair (s(s(x)) = x) would give
+the same edge twice, so the arc leaving its larger end is dropped.  The
+kept keys min*n + max are then distinct, and one sort lists the edges in
+(u, v) order, from which the adjacency lists fill already sorted.
+
+Fixed points need no power map: x**k = x iff o(x) divides k - 1, and since
+o(x) divides o(G) that holds iff it divides k_normalized - 1.
+
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph, and the normalised
 value is the canonical cache/report key.  Both raw and normalised k are
@@ -102,19 +112,36 @@ def build_directed(group: FiniteGroup, k: int) -> DirectedKPowerGraph:
 
 def build_undirected(group: FiniteGroup, k: int) -> KPowerGraph:
     """Symmetrised, de-duplicated, loop-free k-power graph."""
-    directed = build_directed(group, k)
-    return undirected_from_successor(directed.successor, k, directed.k_normalized)
+    k_norm = normalize_exponent(k, group.order)
+    return undirected_from_successor(successor_rows(group, [k_norm])[0], k, k_norm)
 
 
-def undirected_from_successor(successor: list[int], k: int, k_norm: int) -> KPowerGraph:
-    """Build the undirected graph from an already-computed successor map."""
-    n = len(successor)
-    neighbour_sets: list[set[int]] = [set() for _ in range(n)]
-    for x, s in enumerate(successor):
-        if s != x:
-            neighbour_sets[x].add(s)
-            neighbour_sets[s].add(x)
-    adjacency = [sorted(nbrs) for nbrs in neighbour_sets]
+def undirected_from_successor(successor: list[int] | np.ndarray, k: int, k_norm: int) -> KPowerGraph:
+    """Build the undirected graph from an already-computed successor map.
+
+    Deduplicates by the rule ``verify.analyze_batch`` uses (see the module
+    docstring) and sorts the distinct edge keys once.
+    """
+    succ = np.asarray(successor, dtype=np.int64)
+    n = succ.size
+    ident = np.arange(n, dtype=np.int64)
+    keep = (succ != ident) & ((succ[succ] != ident) | (ident < succ))
+    tail, head = ident[keep], succ[keep]
+    keys = np.sort(np.minimum(tail, head) * n + np.maximum(tail, head))
+    return graph_from_sorted_edges(n, k, k_norm, (keys // n).tolist(), (keys % n).tolist())
+
+
+def graph_from_sorted_edges(n: int, k: int, k_norm: int, us: list[int], vs: list[int]) -> KPowerGraph:
+    """The graph on n vertices whose edges (us[i], vs[i]), us[i] < vs[i], come in (u, v) order.
+
+    In that order every vertex meets its lower neighbours (ascending) before
+    its higher ones (ascending), so appending edge by edge leaves each
+    adjacency list sorted.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     return KPowerGraph(n, k, k_norm, adjacency)
 
 
@@ -240,10 +267,10 @@ def to_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
 
 def to_json_dict(group: FiniteGroup, gr: KPowerGraph) -> dict:
     """Stable JSON document: spec string, k, sorted edges, fixed points."""
-    successor = successor_rows(group, [gr.k_normalized])[0]
+    orders = np.array(group.element_orders, dtype=np.int64)
     return {
         "group": str(group.spec),
         "k": gr.k,
         "edges": [[u, v] for u, v in gr.edges()],
-        "fixed_points": np.flatnonzero(successor == np.arange(group.order)).tolist(),
+        "fixed_points": np.flatnonzero((gr.k_normalized - 1) % orders == 0).tolist(),
     }

@@ -13,8 +13,12 @@ always the identity):
 
 Groups are immutable once built: the operation, every element's order and
 (below order 512) a full Cayley table are materialised by ``build_group``.
-Group orders are capped at 2**16; larger requests are rejected rather than
-attempted.
+The element orders come from one vectorised closed form per family
+(h / gcd(h, i) on rotations and residues, the lcm of m / gcd(m, d) over a
+product's digits, the lcm of a permutation's cycle lengths), and
+``element_names`` builds every name family-wide; ``element_name`` is the
+scalar form they are pinned against.  Group orders are capped at 2**16;
+larger requests are rejected rather than attempted.
 
 The power map x -> x**k is computed in one place, ``successor_rows``: a
 vectorised closed form per family over a whole array of exponents.  The
@@ -83,6 +87,7 @@ class FiniteGroup:
     element_orders: list[int]
     # family-specific realization data
     _perms: list[tuple[int, ...]] | None = None
+    _perm_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _perm_index: dict[tuple[int, ...], int] | None = None
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
@@ -136,7 +141,23 @@ class FiniteGroup:
         return self._name(x)
 
     def element_names(self) -> list[str]:
-        return [self._name(x) for x in range(self.order)]
+        """Every element's ``element_name``, in index order, built family-wide."""
+        family = self.spec.family
+        if family == "cyclic":
+            return list(map(str, range(self.order)))
+        if family == "sym":
+            return _perm_cycle_names(self._perm_array)
+        if family in ("dihedral", "quaternion"):
+            half = self.order // 2
+            rotations = ["e", "a", *(f"a{i}" for i in range(2, half))][:half]
+            return rotations + ["b"] + [name + "b" for name in rotations[1:]]
+        # product: the last digit varies fastest, so the names are the
+        # prefixes so far, each extended by every digit of the next factor
+        names = ["("]
+        for i, m in enumerate(self._moduli):
+            digits = [("," if i else "") + str(d) for d in range(m)]
+            names = [name + digit for name in names for digit in digits]
+        return [name + ")" for name in names]
 
     def _name(self, x: int) -> str:
         family = self.spec.family
@@ -237,8 +258,11 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     group = FiniteGroup(spec=spec, order=order, identity=0, element_orders=[])
 
     if family == "sym":
-        perms = [tuple(p) for p in itertools.permutations(range(params[0]))]
+        perms = list(itertools.permutations(range(params[0])))
         group._perms = perms
+        group._perm_array = np.fromiter(
+            itertools.chain.from_iterable(perms), dtype=np.int64, count=order * params[0]
+        ).reshape(order, params[0])
         group._perm_index = {p: i for i, p in enumerate(perms)}
     elif family == "product":
         group._moduli = params
@@ -256,45 +280,79 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
 
 
 def _element_orders(group: FiniteGroup) -> list[int]:
+    """Every element's order, from a vectorised closed form per family."""
     family = group.spec.family
     n = group.order
+    idx = np.arange(n, dtype=np.int64)
     if family == "cyclic":
-        return [n // math.gcd(n, a) for a in range(n)]
-    if family == "sym":
-        return [_perm_order(p) for p in group._perms]
-    if family == "dihedral":
-        half = n // 2
-        rotations = [half // math.gcd(half, i) for i in range(half)]
-        return rotations + [2] * half
-    if family == "quaternion":
-        n2 = n // 2
-        rotations = [n2 // math.gcd(n2, i) for i in range(n2)]
-        return rotations + [4] * n2
-    # product
-    orders = []
-    for x in range(n):
-        digits = group._decode(x)
-        o = 1
-        for d, m in zip(digits, group._moduli):
-            o = math.lcm(o, m // math.gcd(m, d))
-        orders.append(o)
-    return orders
+        orders = n // np.gcd(n, idx)
+    elif family in ("dihedral", "quaternion"):
+        # a^i has order h / gcd(h, i) on the h rotations; every reflection
+        # has order 2 (dihedral) or 4 (quaternion).
+        h = n // 2
+        reflection = 2 if family == "dihedral" else 4
+        orders = np.concatenate([h // np.gcd(h, idx[:h]), np.full(h, reflection)])
+    elif family == "product":
+        orders = np.ones(n, dtype=np.int64)
+        for stride, m in zip(group._strides, group._moduli):
+            orders = np.lcm(orders, m // np.gcd(m, (idx // stride) % m))
+    else:
+        # symmetric: the lcm of the cycle lengths
+        orders = np.lcm.reduce(_cycle_lengths(group._perm_array), axis=1)
+    return orders.tolist()
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+def _symbol_successor(perms: np.ndarray) -> np.ndarray:
+    """The n permutations on m symbols as one functional graph on n*m flat
+    vertices: vertex r*m + i steps to r*m + perms[r, i]."""
+    n, m = perms.shape
+    return (perms + np.arange(0, n * m, m, dtype=np.int64)[:, None]).ravel()
+
+
+def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """For each permutation p and symbol i, the least t >= 1 with p^t(i) = i.
+
+    Walks all symbols one step at a time: m steps on m symbols.
+    """
+    n, m = perms.shape
+    succ = _symbol_successor(perms)
+    start = np.arange(n * m, dtype=np.int64)
+    length = np.zeros(n * m, dtype=np.int64)
+    walk = succ
+    for t in range(1, m + 1):
+        np.putmask(length, (walk == start) & (length == 0), t)
+        walk = succ[walk]
+    return length.reshape(n, m)
+
+
+def _perm_cycle_names(perms: np.ndarray) -> list[str]:
+    """``_perm_cycle_notation`` of every row of ``perms``, built column-wise.
+
+    Each cycle is listed from its least symbol, and the cycles by their
+    least symbols: sorting the symbols by (least symbol of the cycle,
+    distance from it) lays out the notation, and every symbol contributes
+    one token: nothing when fixed, otherwise itself led by "(" or " ", with
+    ")" closing its cycle.
+    """
+    n, m = perms.shape
+    length = _cycle_lengths(perms)
+    succ = _symbol_successor(perms)
+    least = np.arange(n * m, dtype=np.int64)
+    to_least = np.zeros(n * m, dtype=np.int64)
+    walk = least
+    for t in range(1, m):
+        walk = succ[walk]
+        closer = walk < least
+        np.putmask(least, closer, walk)
+        np.putmask(to_least, closer, t)
+    from_least = (length - to_least.reshape(n, m)) % length
+    layout = np.argsort(least.reshape(n, m) * m + from_least, axis=1)
+    kind = np.where(length == 1, 0, np.where(from_least == 0, 1, np.where(from_least == length - 1, 3, 2)))
+    tokens = np.array(
+        [["", f"({v + 1}", f" {v + 1}", f" {v + 1})"] for v in range(m)], dtype=object
+    )
+    pieces = tokens[layout, np.take_along_axis(kind, layout, axis=1)]
+    return ["".join(row) or "e" for row in pieces.tolist()]
 
 
 def _perm_cycle_notation(p: tuple[int, ...]) -> str:
@@ -348,7 +406,7 @@ def _build_table(group: FiniteGroup) -> np.ndarray:
         return (rotation + np.where(reflected, half, 0)).astype(np.int32)
     # symmetric (order < 512 means n <= 5 here): compose the one-line
     # arrays, (x * y)[i] = x[y[i]], then rank each product.
-    perms = np.array(group._perms, dtype=np.int64)
+    perms = group._perm_array
     products = perms[idx[:, None, None], perms[None, :, :]]
     return _perm_ranks(perms, products).astype(np.int32)
 
@@ -398,7 +456,7 @@ def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
     # symmetric: a per-element power table x^0 .. x^(o(x)-1), read at
     # k mod o(x); step j composes every x^j with x (one vectorised
     # composition per step, max o(x) - 1 steps) and ranks the products.
-    perms = np.array(group._perms, dtype=np.int64)
+    perms = group._perm_array
     orders = np.array(group.element_orders, dtype=np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(orders, out=offsets[1:])

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
-from .graphs import KPowerGraph, undirected_from_successor, diameter
+from .graphs import KPowerGraph, diameter, graph_from_sorted_edges
 from .groups import FiniteGroup, GroupSpec, build_group, successor_rows
 
 THEOREMS = (
@@ -237,33 +237,33 @@ class GroupBatch:
         S = successor_rows(group, ks)
         return cls(group, ks, kn, S, analyze_batch(S))
 
-    def graph_for_row(self, r: int):
-        return undirected_from_successor(
-            self.S[r].tolist(), int(self.ks[r]), int(self.kn[r])
+    def graph_for_row(self, r: int) -> KPowerGraph:
+        """Row r's KPowerGraph, from its contiguous run of the batch edge arrays."""
+        m = self.metrics
+        n = self.group.order
+        lo, hi = np.searchsorted(m.edge_row, [r, r + 1])
+        return graph_from_sorted_edges(
+            n, int(self.ks[r]), int(self.kn[r]),
+            (m.edge_u[lo:hi] % n).tolist(), (m.edge_v[lo:hi] % n).tolist(),
         )
 
     def iter_row_graphs(self):
-        """Per-row KPowerGraphs rebuilt from the batch edge arrays.
+        """Every row's KPowerGraph, as ``graph_for_row`` builds it.
 
         The mask dedup leaves one distinct key lo*N + hi per edge, and
         `analyze_batch` sorts those keys, so the edges arrive in global
-        (u, v) order: each row's edges are one contiguous run, and each
-        adjacency list comes out ascending without a per-list sort.
+        (u, v) order: each row's edges are one contiguous run, already in
+        the order ``graphs.graph_from_sorted_edges`` needs.
         """
         m = self.metrics
         n = self.group.order
         R = len(self.ks)
-        bounds = np.searchsorted(m.edge_row, np.arange(R + 1))
+        bounds = np.searchsorted(m.edge_row, np.arange(R + 1)).tolist()
         us = (m.edge_u % n).tolist()
         vs = (m.edge_v % n).tolist()
         for r in range(R):
-            adjacency: list[list[int]] = [[] for _ in range(n)]
-            for i in range(int(bounds[r]), int(bounds[r + 1])):
-                u = us[i]
-                v = vs[i]
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            yield r, KPowerGraph(n, int(self.ks[r]), int(self.kn[r]), adjacency)
+            lo, hi = bounds[r], bounds[r + 1]
+            yield r, graph_from_sorted_edges(n, int(self.ks[r]), int(self.kn[r]), us[lo:hi], vs[lo:hi])
 
 
 @dataclass

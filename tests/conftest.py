@@ -7,9 +7,12 @@ on, so that each library result is checked against an independent route.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from kpower.groups import FiniteGroup
+import numpy as np
+from hypothesis import strategies as st
+
+from kpower.groups import FiniteGroup, build_group, successor_rows
 
 
 def iterated_power(group: FiniteGroup, x: int, k: int) -> int:
@@ -143,3 +146,89 @@ def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
         "comp_cycle_len": np.bincount(comp_dense[on_cycle], minlength=C),
         "comp_least": comp_least,
     }
+
+
+def set_adjacency(successor) -> list[list[int]]:
+    """Sorted neighbour lists of a successor map's undirected graph, by sets.
+
+    This is the formulation the graph builder used before it shared the
+    batch engine's mask dedup, kept as the reference it is pinned against:
+    one neighbour set per vertex, every non-loop arc added both ways.
+    """
+    n = len(successor)
+    neighbour_sets: list[set[int]] = [set() for _ in range(n)]
+    for x, s in enumerate(successor):
+        if s != x:
+            neighbour_sets[x].add(s)
+            neighbour_sets[s].add(x)
+    return [sorted(nbrs) for nbrs in neighbour_sets]
+
+
+def perm_order(p: tuple[int, ...]) -> int:
+    """Order of a permutation in one-line form: the lcm of its cycle lengths, walked by hand."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        order = math.lcm(order, length)
+    return order
+
+
+ROW_KINDS = ("random", "fixed", "involution", "cycle")
+
+# Groups of order 1 and 2 plus one small group of each other family.
+POWER_MAP_SPECS = ("cyclic:1", "cyclic:2", "dihedral:1", "cyclic:12", "sym:3",
+                   "dihedral:5", "quaternion:3", "product:2x4")
+
+
+@st.composite
+def successor_matrices(draw):
+    """Random successor matrices, each row one functional graph on 0..n-1.
+
+    A row is a random map, all fixed points, disjoint swapped pairs (an
+    involution) or one cycle over part of the vertices, with n in 1..40.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    R = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(R):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        row = list(range(n))
+        if kind == "random":
+            row = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        elif kind == "involution":
+            perm = draw(st.permutations(range(n)))
+            pairs = draw(st.integers(min_value=0, max_value=n // 2))
+            for a, b in zip(perm[:pairs], perm[pairs:2 * pairs]):
+                row[a], row[b] = b, a
+        elif kind == "cycle":
+            perm = draw(st.permutations(range(n)))
+            length = draw(st.integers(min_value=1, max_value=n))
+            cycle = perm[:length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                row[a] = b
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(R, n)
+
+
+@st.composite
+def power_map_cases(draw):
+    """A group and its exponents at k = 0 or 1 mod o(G) and k > o(G) + 1."""
+    group = build_group(draw(st.sampled_from(POWER_MAP_SPECS)))
+    o = group.order
+    aligned = st.builds(lambda m, r: m * o + r, st.integers(1, 3), st.sampled_from((0, 1)))
+    beyond = st.integers(min_value=o + 2, max_value=4 * o + 4)
+    ks = draw(st.lists(st.one_of(aligned, beyond), min_size=1, max_size=6))
+    return group, np.array(ks, dtype=np.int64)
+
+
+def power_map_matrices():
+    """Successor rows of real groups at k = 0 or 1 mod o(G) and k > o(G) + 1."""
+    return power_map_cases().map(lambda case: successor_rows(*case))

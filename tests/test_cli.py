@@ -3,8 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kpower.cli import main
+from kpower.analysis import analyze
+from kpower.cli import _json_text, main
+from kpower.graphs import build_undirected, to_json_dict
+from kpower.groups import build_group
 
 
 def run(capsys, *argv):
@@ -185,3 +190,118 @@ class TestConfig:
     def test_missing_config_exit_2(self, capsys):
         code, _, err = run(capsys, "--config", "/nope.json", "analyze", "--group", "cyclic:4", "--k", "2")
         assert code == 2
+
+    def test_config_defaults_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group": "cyclic:31", "k": 2, "no_meta": True, "format": "text"}))
+        code, _, _ = run(capsys, "--config", str(cfg), "analyze")
+        assert code == 0
+        code, out, _ = run(capsys, "analyze", "--group", "cyclic:4", "--k", "2")
+        assert code == 0
+        doc = json.loads(out)  # json again, with the meta field
+        assert "meta" in doc
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--k", "2"])  # --group is required again
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("values, needle", [
+        ({"k": "2"}, "'k' must be of type int"),
+        ({"k": 2.0}, "'k' must be of type int"),
+        ({"k": True}, "'k' must be of type int"),
+        ({"group": 31}, "'group' must be of type str"),
+        ({"group": None}, "'group' must be of type str"),
+        ({"format": "yaml"}, "'format' must be one of json, text"),
+        ({"no_meta": "yes"}, "'no_meta' must be true or false"),
+        ({"no_meta": 1}, "'no_meta' must be true or false"),
+    ])
+    def test_bad_analyze_values_exit_2(self, capsys, tmp_path, values, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group": "cyclic:4", "k": 2, **values}))
+        code, out, err = run(capsys, "--config", str(cfg), "analyze")
+        assert code == 2
+        assert out == ""
+        assert "bad config" in err and needle in err
+
+    @pytest.mark.parametrize("values, needle", [
+        ({"family": "cyclic"}, "'family' must be a list"),
+        ({"family": ["cyclic", "rings"]}, "'family' must be one of"),
+        ({"family": ["cyclic"], "max_n": 5, "theorem": ["edges", 3]}, "'theorem' must be of type str"),
+    ])
+    def test_bad_verify_values_exit_2(self, capsys, tmp_path, values, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run(capsys, "--config", str(cfg), "verify", "--max-n", "3")
+        assert code == 2
+        assert needle in err
+
+    def test_good_verify_values(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": ["cyclic"], "max_n": 6, "k_max": None, "theorem": ["edges"]}))
+        code, out, _ = run(capsys, "--config", str(cfg), "verify")
+        assert code == 0
+        assert out == "theorem edges: 21 cells, all pass\n"
+
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "not checked for analyze", "n": "x"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "analyze", "--group", "cyclic:4", "--k", "2", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["group"] == "cyclic:4"
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run(capsys, "--config", str(cfg), "analyze", "--group", "cyclic:4", "--k", "2")
+        assert code == 2
+        assert "JSON object" in err
+
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8))
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """``_json_text`` must give the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_documents)
+    def test_matches_json_dumps(self, doc):
+        assert _json_text(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}}, {"a": []}, [[]], [{}], {"": [0]}, [[1, 2], [3]], [[1, 2], [3, 4, 5]],
+        [[True, 2]], [[1, None]], [1, True], {"x": (1, 2)}, {"e": "\u00e9\n\"\\"}, [1.5, -0.0],
+        {"nested": [[0, 1], [1, 2]], "deeper": {"list": [[5, 6]]}}, {1: "int key"}, {None: 0, "a": 1},
+    ])
+    def test_corner_documents(self, doc):
+        assert _json_text(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("spec, k", [("cyclic:1", 2), ("cyclic:5", 6), ("sym:3", 7), ("dihedral:1", 3)])
+    def test_edgeless_and_single_vertex_exports(self, spec, k):
+        g = build_group(spec)
+        doc = to_json_dict(g, build_undirected(g, k))
+        assert doc["edges"] == []
+        assert _json_text(doc) == reference_json(doc)
+        assert _json_text(analyze(g, k).to_json_dict()) == reference_json(analyze(g, k).to_json_dict())
+
+    @pytest.mark.parametrize("spec", ["cyclic:4999", "sym:7", "dihedral:2500", "quaternion:1250", "product:16x17x18"])
+    def test_large_analyze_and_export_documents(self, spec):
+        g = build_group(spec)
+        k = 2 + g.order // 3
+        export = to_json_dict(g, build_undirected(g, k))
+        assert export["edges"]
+        assert _json_text(export) == reference_json(export)
+        report = analyze(g, k).to_json_dict()
+        assert _json_text(report) == reference_json(report)

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import pairwise_edges
+from conftest import pairwise_edges, power_map_cases, set_adjacency, successor_matrices
 from kpower.graphs import (
     build_directed,
     build_undirected,
@@ -18,6 +19,7 @@ from kpower.graphs import (
     undirected_from_successor,
 )
 from kpower.groups import build_group
+from kpower.verify import GroupBatch
 
 # S_3 elements under lexicographic enumeration, by their usual names:
 # the identity, the two 3-cycles, and the three transpositions.
@@ -214,6 +216,34 @@ class TestFromSuccessor:
                 d = build_directed(g, k)
                 via_succ = undirected_from_successor(d.successor, k, d.k_normalized)
                 assert via_succ.adjacency == build_undirected(g, k).adjacency
+
+
+class TestAgainstSetReference:
+    """The mask-dedup builder and the batch's row graphs against one neighbour set per vertex."""
+
+    @staticmethod
+    def assert_matches(gr, row):
+        assert gr.adjacency == set_adjacency(row)
+        assert all(type(v) is int for nbrs in gr.adjacency for v in nbrs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(successor_matrices())
+    def test_random_successor_maps(self, S):
+        for row in S.tolist():
+            self.assert_matches(undirected_from_successor(row, 2, 2), row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_cases())
+    def test_power_map_rows(self, case):
+        group, ks = case
+        batch = GroupBatch.build(group, ks)
+        rows = batch.S.tolist()
+        for r, row in enumerate(rows):
+            self.assert_matches(undirected_from_successor(row, int(ks[r]), int(batch.kn[r])), row)
+            self.assert_matches(undirected_from_successor(batch.S[r], int(ks[r]), int(batch.kn[r])), row)
+            self.assert_matches(batch.graph_for_row(r), row)
+        for r, gr in batch.iter_row_graphs():
+            self.assert_matches(gr, rows[r])
 
 
 class TestOneRowPath:

@@ -1,6 +1,7 @@
 """Group layer: canonical enumerations, operation axioms, order censuses."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iterated_power
+from conftest import iterated_power, perm_order
 from kpower import numth
 from kpower.groups import MAX_ORDER, build_group, parse_group_spec, successor_rows
 
@@ -182,6 +183,45 @@ class TestElementOrders:
         assert build_group("cyclic:12").order_census() == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
 
+def orders_by_multiplication(g) -> list[int]:
+    """Each element's order as the least t >= 1 with x^t = e, one product at a time."""
+    orders = []
+    for x in range(g.order):
+        y, t = x, 1
+        while y != g.identity:
+            y, t = g.op(y, x), t + 1
+        orders.append(t)
+    return orders
+
+
+# Every family: all small cyclic and dihedral groups, quaternion from its
+# least parameter, and products with a factor of 1.
+ORDER_SPECS = (
+    *(f"cyclic:{n}" for n in range(1, 65)),
+    *(f"dihedral:{n}" for n in range(1, 41)),
+    *(f"quaternion:{n}" for n in range(2, 25)),
+    "product:1", "product:1x1", "product:1x7", "product:4x1", "product:3x1x5",
+    "product:2x2x2", "product:6x4x10", "product:12x18",
+)
+
+
+class TestVectorisedOrders:
+    """The vectorised closed forms for element orders against per-element references."""
+
+    @pytest.mark.parametrize("spec", ORDER_SPECS)
+    def test_matches_multiplication(self, spec):
+        g = build_group(spec)
+        assert g.element_orders == orders_by_multiplication(g)
+        assert all(type(o) is int for o in g.element_orders)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sym_in_full(self, m):
+        g = build_group(f"sym:{m}")
+        assert g._perms == list(itertools.permutations(range(m)))
+        assert g._perm_array.tolist() == [list(p) for p in g._perms]
+        assert g.element_orders == [perm_order(p) for p in g._perms]
+
+
 class TestNames:
     def test_cyclic_names(self):
         assert build_group("cyclic:3").element_names() == ["0", "1", "2"]
@@ -196,6 +236,15 @@ class TestNames:
 
     def test_product_names(self):
         assert build_group("product:2x2").element_names() == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+
+    @pytest.mark.parametrize("spec", (
+        "cyclic:1", "cyclic:17", "dihedral:1", "dihedral:2", "dihedral:12",
+        "quaternion:2", "quaternion:9", "product:1", "product:1x3", "product:2x1x3",
+        "product:10x11", *(f"sym:{m}" for m in range(1, 9)),
+    ))
+    def test_names_match_element_name(self, spec):
+        g = build_group(spec)
+        assert g.element_names() == [g.element_name(x) for x in range(g.order)]
 
 
 class TestTableCache:

@@ -4,10 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kpower.verify as V
-from conftest import edge_counts_only, unique_tables
+from conftest import edge_counts_only, power_map_matrices, successor_matrices, unique_tables
 from kpower.analysis import chromatic, clique_number, is_forest, is_perfect, is_star
 from kpower.graphs import build_undirected, components
 from kpower.groups import build_group
@@ -91,50 +90,6 @@ class TestBatchAgainstLibrary:
             if r not in wanted:
                 continue
             assert gr.adjacency == build_undirected(g, int(batch.ks[r])).adjacency
-
-
-ROW_KINDS = ("random", "fixed", "involution", "cycle")
-
-# Groups of order 1 and 2 plus one small group of each other family.
-POWER_MAP_SPECS = ("cyclic:1", "cyclic:2", "dihedral:1", "cyclic:12", "sym:3",
-                   "dihedral:5", "quaternion:3", "product:2x4")
-
-
-@st.composite
-def successor_matrices(draw):
-    """Random successor matrices, each row one functional graph on 0..n-1."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    R = draw(st.integers(min_value=1, max_value=6))
-    rows = []
-    for _ in range(R):
-        kind = draw(st.sampled_from(ROW_KINDS))
-        row = list(range(n))
-        if kind == "random":
-            row = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        elif kind == "involution":
-            perm = draw(st.permutations(range(n)))
-            pairs = draw(st.integers(min_value=0, max_value=n // 2))
-            for a, b in zip(perm[:pairs], perm[pairs:2 * pairs]):
-                row[a], row[b] = b, a
-        elif kind == "cycle":
-            perm = draw(st.permutations(range(n)))
-            length = draw(st.integers(min_value=1, max_value=n))
-            cycle = perm[:length]
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                row[a] = b
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(R, n)
-
-
-@st.composite
-def power_map_matrices(draw):
-    """Successor rows of real groups at k = 0 or 1 mod o(G) and k > o(G) + 1."""
-    group = build_group(draw(st.sampled_from(POWER_MAP_SPECS)))
-    o = group.order
-    aligned = st.builds(lambda m, r: m * o + r, st.integers(1, 3), st.sampled_from((0, 1)))
-    beyond = st.integers(min_value=o + 2, max_value=4 * o + 4)
-    ks = draw(st.lists(st.one_of(aligned, beyond), min_size=1, max_size=6))
-    return V.successor_rows(group, np.array(ks, dtype=np.int64))
 
 
 class TestAgainstUniqueReference:
