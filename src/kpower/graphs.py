@@ -26,6 +26,7 @@ kept on the graph objects.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +139,20 @@ def graph_from_sorted_edges(n: int, k: int, k_norm: int, us: list[int], vs: list
     its higher ones (ascending), so appending edge by edge leaves each
     adjacency list sorted.
     """
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    # The n lists are n new containers: with the collector on, a graph near
+    # 2^16 vertices sets off about a hundred young-generation collections
+    # and a full one that walks every live graph, each time, though lists
+    # of ints can hold no reference cycle for it to free.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    finally:
+        if was_enabled:
+            gc.enable()
     return KPowerGraph(n, k, k_norm, adjacency)
 
 

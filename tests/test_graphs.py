@@ -1,5 +1,6 @@
 """Graph layer: small-group fixtures, the pairwise-definition oracle, shapes, exports."""
 
+import gc
 import json
 
 import pytest
@@ -216,6 +217,17 @@ class TestFromSuccessor:
                 d = build_directed(g, k)
                 via_succ = undirected_from_successor(d.successor, k, d.k_normalized)
                 assert via_succ.adjacency == build_undirected(g, k).adjacency
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_the_collector_as_it_found_it(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            gr = undirected_from_successor([1, 2, 0, 3], 2, 2)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert gr.adjacency == [[1, 2], [0, 2], [0, 1], []]
 
 
 class TestAgainstSetReference:
