@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
             print(f"theorem {check.name}: {check.cells} cells, all pass")
         else:
             failed = True
-            print(f"theorem {check.name}: {check.cells} cells, FAIL")
+            print(f"theorem {check.name}: {check.cells} cells, {check.failed_cells} failed, FAIL")
             for failure in check.failures:
                 print(f"  counterexample: {failure}")
     return 1 if failed else 0

@@ -86,9 +86,7 @@ class FiniteGroup:
     identity: int
     element_orders: list[int]
     # family-specific realization data
-    _perms: list[tuple[int, ...]] | None = None
     _perm_array: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _perm_index: dict[tuple[int, ...], int] | None = None
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
     _table: np.ndarray | None = field(default=None, repr=False)
@@ -164,7 +162,7 @@ class FiniteGroup:
         if family == "cyclic":
             return str(x)
         if family == "sym":
-            return _perm_cycle_notation(self._perms[x])
+            return _perm_cycle_notation(self._perm_array[x].tolist())
         if family in ("dihedral", "quaternion"):
             half = self.order // 2
             i, reflected = x % half, x >= half
@@ -181,8 +179,8 @@ class FiniteGroup:
         if family == "cyclic":
             return (x + y) % self.order
         if family == "sym":
-            px, py = self._perms[x], self._perms[y]
-            return self._perm_index[tuple(px[i] for i in py)]
+            px, py = self._perm_array[x].tolist(), self._perm_array[y].tolist()
+            return _perm_rank([px[i] for i in py])
         if family == "dihedral":
             n = self.order // 2
             i, s = x % n, x >= n
@@ -258,12 +256,10 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     group = FiniteGroup(spec=spec, order=order, identity=0, element_orders=[])
 
     if family == "sym":
-        perms = list(itertools.permutations(range(params[0])))
-        group._perms = perms
         group._perm_array = np.fromiter(
-            itertools.chain.from_iterable(perms), dtype=np.int64, count=order * params[0]
+            itertools.chain.from_iterable(itertools.permutations(range(params[0]))),
+            dtype=np.int64, count=order * params[0],
         ).reshape(order, params[0])
-        group._perm_index = {p: i for i, p in enumerate(perms)}
     elif family == "product":
         group._moduli = params
         strides = []
@@ -355,7 +351,7 @@ def _perm_cycle_names(perms: np.ndarray) -> list[str]:
     return ["".join(row) or "e" for row in pieces.tolist()]
 
 
-def _perm_cycle_notation(p: tuple[int, ...]) -> str:
+def _perm_cycle_notation(p: list[int]) -> str:
     """Cycle notation on 1-based symbols, e.g. (1 2 3); identity is 'e'."""
     seen = [False] * len(p)
     cycles = []
@@ -422,6 +418,19 @@ def _perm_ranks(perms: np.ndarray, products: np.ndarray) -> np.ndarray:
     return np.searchsorted(perms @ weights, products @ weights)
 
 
+def _perm_rank(p: list[int]) -> int:
+    """Index of one one-line permutation in lexicographic order (its Lehmer code).
+
+    The scalar counterpart of ``_perm_ranks``, and independent of it: the
+    rank is sum_i c_i (m-1-i)!, where c_i counts the later entries below p[i].
+    """
+    m = len(p)
+    rank = 0
+    for i, v in enumerate(p):
+        rank = rank * (m - i) + sum(w < v for w in p[i + 1:])
+    return rank
+
+
 def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
     """Matrix S with S[r, x] = x**ks[r], one row per exponent (int64, C-contiguous).
 
@@ -434,12 +443,18 @@ def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
     family = group.spec.family
     idx = np.arange(n, dtype=np.int64)
     if family == "cyclic":
-        return ((ks % n)[:, None] * idx[None, :]) % n
+        out = np.multiply.outer(ks % n, idx)
+        out %= n
+        return out
     if family == "product":
         out = np.zeros((len(ks), n), dtype=np.int64)
+        term = np.empty_like(out)
         for stride, m in zip(group._strides, group._moduli):
             digit = (idx // stride) % m
-            out += (((ks % m)[:, None] * digit[None, :]) % m) * stride
+            np.multiply.outer(ks % m, digit, out=term)
+            term %= m
+            term *= stride
+            out += term
         return out
     if family in ("dihedral", "quaternion"):
         # a^i -> a^(ik mod h) on the h rotations; a reflection a^i b has

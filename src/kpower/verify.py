@@ -12,11 +12,16 @@ hash or a stable argsort:
     and the remaining keys lo*N + hi are already distinct; one plain sort
     of them lists the edges in global (u, v) order;
   * leaf peeling exposes the directed cycles (tails of power maps are
-    short, so the loop runs only a handful of rounds);
-  * pointer jumping walks every vertex to its cycle;
-  * doubling-with-minimum labels every component by the least vertex of
-    its cycle; labels are vertex ids below R*n, so a presence mask and a
-    running count number the components in ascending label order.
+    short, so the loop runs only a handful of rounds) and keeps its levels;
+  * doubling-with-minimum, over the on-cycle vertices alone, labels every
+    cycle by its least vertex and stops at the first pass that changes no
+    label, so the pass count follows the longest cycle, not the order;
+  * a running count over the cycles' least vertices numbers the
+    components in ascending label order, and the peel levels, replayed
+    from the cycles outward, carry each tail vertex to its component.
+
+Each whole-batch temporary is dropped once its last use is past, so a
+batch peaks at a few times the size of its successor matrix.
 
 Each theorem check then compares a closed form against these graph-side
 metrics and reports counterexamples.  The closed forms live in `analysis`,
@@ -91,68 +96,49 @@ class BatchMetrics:
 def analyze_batch(S: np.ndarray) -> BatchMetrics:
     R, n = S.shape
     N = R * n
-    base = (np.arange(R, dtype=np.int64) * n)[:, None]
-    succ = (S.astype(np.int64) + base).ravel()
+    succ = S.astype(np.int64)
+    succ += (np.arange(R, dtype=np.int64) * n)[:, None]
+    succ = succ.ravel()
+
+    # An arc x -> s(x) is an undirected edge unless it is a loop, and a
+    # mutual pair (s(s(x)) = x) gives the same edge twice, so the arc
+    # leaving its larger end is dropped too.
     ident = np.arange(N, dtype=np.int64)
     fixed = succ == ident
     fixed_count = fixed.reshape(R, n).sum(axis=1)
+    keep = succ[succ] != ident
+    keep |= ident < succ
+    keep &= ~fixed
+    del ident, fixed
 
-    # Undirected simple edges: every non-loop arc x -> s(x) is one, except
-    # that a mutual pair (s(s(x)) = x) gives the same edge twice, so the
-    # arc leaving its larger end is dropped.  The kept keys are distinct,
-    # and sorting them puts the edges in global (u, v) order.
-    s2 = succ[succ]
-    keep = ~fixed & ((s2 != ident) | (ident < succ))
-    tail = ident[keep]
-    head = succ[keep]
-    keys = np.sort(np.minimum(tail, head) * N + np.maximum(tail, head))
-    edge_u = keys // N
-    edge_v = keys % N
-    edge_row = edge_u // n
-    edge_count = np.bincount(edge_row, minlength=R)
-    deg_flat = np.bincount(edge_u, minlength=N) + np.bincount(edge_v, minlength=N)
-    degrees = deg_flat.reshape(R, n)
-
-    # Peel vertices of in-degree zero until only the directed cycles remain.
-    indeg = np.bincount(succ, minlength=N)
-    removed = np.zeros(N, dtype=bool)
-    frontier = np.flatnonzero(indeg == 0)
-    while frontier.size:
-        removed[frontier] = True
-        indeg -= np.bincount(succ[frontier], minlength=N)
-        frontier = np.flatnonzero((indeg == 0) & ~removed)
-    on_cycle = ~removed
-
-    # Walk every vertex forward until it lands on its cycle.
-    reach = succ.copy()
-    off = ~on_cycle[reach]
-    while off.any():
-        reach[off] = succ[reach[off]]
-        off = ~on_cycle[reach]
-
-    # Label each cycle by its least vertex: doubling windows with minimum.
-    label = np.where(on_cycle, ident, N)
-    jump = succ.copy()
-    for _ in range(max(1, int(np.ceil(np.log2(max(2, n)))) + 1)):
-        label = np.minimum(label, label[jump])
-        jump = jump[jump]
-    comp = label[reach]
-
-    # Labels are vertex ids below N: a presence mask numbers the components
-    # densely in ascending label order, and a scattered minimum gives each
-    # component's least vertex.
-    present = np.zeros(N, dtype=bool)
-    present[comp] = True
-    uniq = np.flatnonzero(present)
+    uniq, comp_dense, comp_cycle_len, comp_least = _components(succ)
     C = uniq.size
-    comp_dense = (np.cumsum(present) - 1)[comp]
-    comp_least = np.full(C, N, dtype=np.int64)
-    np.minimum.at(comp_least, comp_dense, ident)
-    comp_row = uniq // n
+
+    # The kept arcs give distinct keys lo*N + hi, and sorting them puts the
+    # edges in global (u, v) order.
+    tail = np.flatnonzero(keep)
+    del keep
+    head = succ[tail]
+    del succ
+    keys = np.minimum(tail, head)
+    np.maximum(tail, head, out=head)
+    del tail
+    keys *= N
+    keys += head
+    del head
+    keys.sort()
+    edge_u = keys // N
+    edge_v = np.remainder(keys, N, out=keys)
     comp_vertices = np.bincount(comp_dense, minlength=C)
     comp_edges = np.bincount(comp_dense[edge_u], minlength=C)
-    comp_cycle_len = np.bincount(comp_dense[on_cycle], minlength=C)
+    del comp_dense
+    degrees = np.bincount(edge_u, minlength=N)
+    degrees += np.bincount(edge_v, minlength=N)
+    degrees = degrees.reshape(R, n)
+    edge_row = edge_u // n
+    edge_count = np.bincount(edge_row, minlength=R)
 
+    comp_row = uniq // n
     comp_count = np.bincount(comp_row, minlength=R)
     connected = comp_count == 1
 
@@ -175,11 +161,11 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     else:
         star_shape = np.zeros(R, dtype=bool)
 
-    # Triangles: x with x^{k^3} = x but x^k != x span a directed 3-cycle.
-    s3 = succ[s2]
-    tri = np.flatnonzero((s3 == ident) & ~fixed)
+    # The triangles of a functional graph are its directed 3-cycles (x^k != x
+    # but x^{k^3} = x), so a row has one iff a component's cycle has length 3.
+    has_triangle = _row_any(comp_row[comp_cycle_len == 3], R)
     has_edge = (edge_count > 0).astype(np.int64)
-    omega = np.where(_row_any(tri // n, R), 3, 1 + has_edge)
+    omega = np.where(has_triangle, 3, 1 + has_edge)
     chi = 1 + has_edge + has_odd_cycle.astype(np.int64)
 
     return BatchMetrics(
@@ -206,6 +192,82 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         comp_cycle_len=comp_cycle_len,
         comp_least=comp_least,
     )
+
+
+def _components(succ: np.ndarray):
+    """Components of the functional graph ``succ``, one per directed cycle.
+
+    Returns, with components numbered in ascending order of their cycles'
+    least vertices: those least vertices, every vertex's component number,
+    each component's cycle length and each component's least vertex.
+    """
+    N = succ.size
+    # Peel vertices of in-degree zero until only the directed cycles remain.
+    # A peeled vertex's in-degree is set to -1, so no later frontier holds it
+    # again; every vertex a level points to is on a cycle or in a later level.
+    indeg = np.bincount(succ, minlength=N)
+    levels = []
+    frontier = np.flatnonzero(indeg == 0)
+    while frontier.size:
+        levels.append(frontier)
+        indeg -= np.bincount(succ[frontier], minlength=N)
+        indeg[frontier] = -1
+        frontier = np.flatnonzero(indeg == 0)
+    on_cycle = indeg > 0
+    del indeg, frontier
+
+    # Number the M on-cycle vertices 0..M-1 in id order, so that a compact
+    # number orders as the vertex it names, and follow the cycles on them.
+    cycle = np.flatnonzero(on_cycle)
+    M = cycle.size
+    compact = np.empty(N, dtype=np.int64)
+    compact[cycle] = np.arange(M, dtype=np.int64)
+    jump = succ[cycle]
+    del cycle
+    jump = compact[jump]
+    del compact
+
+    # Label each cycle by its least vertex: doubling windows with minimum.
+    # After t passes a label is the least of the window of w = 2^t vertices
+    # that starts at it.  Stop at the first pass that changes no label:
+    # while w < L on a cycle of length L whose least vertex is m, the vertex
+    # w steps before m has a window that misses m (labels start distinct,
+    # so its label is above m), and the next pass lowers it to m.  So a pass
+    # with no change means w >= L on every cycle and every label is final.
+    # The passes swap two buffers; mode="clip" lets take write into `out`
+    # directly (the default mode copies it), and every index is in range.
+    label = np.arange(M, dtype=np.int64)
+    spare = np.empty(M, dtype=np.int64)
+    while True:
+        ahead = np.take(label, jump, out=spare, mode="clip")
+        if not (ahead < label).any():
+            break
+        np.minimum(label, ahead, out=label)
+        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
+    del jump, spare, ahead
+
+    # Each cycle's least vertex labels itself, so a running count over those
+    # roots numbers the components densely in ascending label order.  Tail
+    # vertices take their successor's component, level by level from the
+    # cycles outward; the least vertex of a component is its root or a tail.
+    root = label == np.arange(M, dtype=np.int64)
+    cycle = np.flatnonzero(on_cycle)
+    uniq = cycle[root]
+    cycle_dense = np.cumsum(root)
+    cycle_dense -= 1
+    cycle_dense = cycle_dense[label]
+    del root, label
+    comp_dense = np.empty(N, dtype=np.int64)
+    comp_dense[cycle] = cycle_dense
+    del cycle
+    comp_cycle_len = np.bincount(cycle_dense, minlength=uniq.size)
+    del cycle_dense
+    comp_least = uniq.copy()
+    for level in reversed(levels):
+        dense = comp_dense[succ[level]]
+        comp_dense[level] = dense
+        np.minimum.at(comp_least, dense, level)
+    return uniq, comp_dense, comp_cycle_len, comp_least
 
 
 def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
@@ -239,13 +301,8 @@ class GroupBatch:
 
     def graph_for_row(self, r: int) -> KPowerGraph:
         """Row r's KPowerGraph, from its contiguous run of the batch edge arrays."""
-        m = self.metrics
-        n = self.group.order
-        lo, hi = np.searchsorted(m.edge_row, [r, r + 1])
-        return graph_from_sorted_edges(
-            n, int(self.ks[r]), int(self.kn[r]),
-            (m.edge_u[lo:hi] % n).tolist(), (m.edge_v[lo:hi] % n).tolist(),
-        )
+        lo, hi = np.searchsorted(self.metrics.edge_row, [r, r + 1])
+        return self._row_graph(r, lo, hi)
 
     def iter_row_graphs(self):
         """Every row's KPowerGraph, as ``graph_for_row`` builds it.
@@ -253,24 +310,35 @@ class GroupBatch:
         The mask dedup leaves one distinct key lo*N + hi per edge, and
         `analyze_batch` sorts those keys, so the edges arrive in global
         (u, v) order: each row's edges are one contiguous run, already in
-        the order ``graphs.graph_from_sorted_edges`` needs.
+        the order ``graphs.graph_from_sorted_edges`` needs.  Each row's
+        Python lists are built from that run alone, so only one row's edges
+        exist as Python ints at a time.
         """
+        bounds = np.searchsorted(self.metrics.edge_row, np.arange(len(self.ks) + 1)).tolist()
+        for r in range(len(self.ks)):
+            yield r, self._row_graph(r, bounds[r], bounds[r + 1])
+
+    def _row_graph(self, r: int, lo: int, hi: int) -> KPowerGraph:
         m = self.metrics
         n = self.group.order
-        R = len(self.ks)
-        bounds = np.searchsorted(m.edge_row, np.arange(R + 1)).tolist()
-        us = (m.edge_u % n).tolist()
-        vs = (m.edge_v % n).tolist()
-        for r in range(R):
-            lo, hi = bounds[r], bounds[r + 1]
-            yield r, graph_from_sorted_edges(n, int(self.ks[r]), int(self.kn[r]), us[lo:hi], vs[lo:hi])
+        return graph_from_sorted_edges(
+            n, int(self.ks[r]), int(self.kn[r]),
+            (m.edge_u[lo:hi] % n).tolist(), (m.edge_v[lo:hi] % n).tolist(),
+        )
 
 
 @dataclass
 class TheoremCheck:
+    """One theorem's tally: cells checked, distinct cells failed, a few counterexamples.
+
+    A batch check's cell is one (group, k), the chair check's is one n.
+    """
+
     name: str
     cells: int = 0
     failures: list[str] = field(default_factory=list)
+    failed_cells: int = 0
+    _failed: set = field(default_factory=set, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -283,17 +351,31 @@ class TheoremCheck:
         elif len(self.failures) == MAX_COUNTEREXAMPLES:
             self.failures.append("...")
 
+    def mark(self, cells) -> None:
+        """Count every cell in ``cells`` as failed, each distinct cell once."""
+        before = len(self._failed)
+        self._failed.update(cells)
+        self.failed_cells += len(self._failed) - before
+
     def fail(self, group: FiniteGroup, k: int, expected, got) -> None:
         self.note(f"group={group.spec} k={k}: expected {expected}, got {got}")
+        self.mark([(group.spec, k)])
 
     def merge(self, other: "TheoremCheck") -> None:
+        """Add another check's tallies; the two must cover disjoint cells."""
         self.cells += other.cells
+        self.failed_cells += other.failed_cells
         for f in other.failures:
             self.note(f)
 
 
+def _mark_rows(check: TheoremCheck, batch: GroupBatch, rows: np.ndarray) -> None:
+    check.mark((batch.group.spec, k) for k in batch.ks[rows].tolist())
+
+
 def _report_mismatches(check: TheoremCheck, batch: GroupBatch, bad_rows: np.ndarray,
                        expected, got) -> None:
+    _mark_rows(check, batch, bad_rows)
     for r in bad_rows[:MAX_COUNTEREXAMPLES]:
         e = expected[r] if hasattr(expected, "__getitem__") else expected
         g = got[r] if hasattr(got, "__getitem__") else got
@@ -330,6 +412,7 @@ def check_degrees(batch: GroupBatch) -> TheoremCheck:
     formula = analysis.cyclic_degree_rows(n, batch.kn, np.arange(n, dtype=np.int64))
     mismatch = formula != batch.metrics.degrees
     bad_rows = np.flatnonzero(mismatch.any(axis=1))
+    _mark_rows(check, batch, bad_rows)
     for r in bad_rows[:MAX_COUNTEREXAMPLES]:
         v = int(np.flatnonzero(mismatch[r])[0])
         check.fail(
@@ -377,7 +460,8 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     _report_mismatches(check, batch, over, "<= 3", chi)
     n = batch.group.order
     R = len(batch.ks)
-    colors_mat = np.empty((R, n), dtype=np.int64)
+    # analysis.chromatic uses colours 1..3 only (it raises on a 4th)
+    colors_mat = np.empty((R, n), dtype=np.int8)
     for r, gr in batch.iter_row_graphs():
         got_chi, colors = analysis.chromatic(gr)
         if got_chi != int(chi[r]):
@@ -386,14 +470,13 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     flat = colors_mat.ravel()
     m = batch.metrics
     conflicts = np.flatnonzero(flat[m.edge_u] == flat[m.edge_v])
+    _mark_rows(check, batch, m.edge_row[conflicts])
     for i in conflicts[:MAX_COUNTEREXAMPLES]:
         check.fail(batch.group, int(batch.ks[int(m.edge_row[i])]), "proper colouring", "conflict")
     # exactly chi colours: max equals chi and every colour below it occurs
     max_color = colors_mat.max(axis=1)
-    counts = np.bincount(
-        (np.arange(R, dtype=np.int64)[:, None] * 4 + colors_mat).ravel(), minlength=4 * R
-    ).reshape(R, 4)
-    full_range = (counts[:, 1:] > 0).cumprod(axis=1)[np.arange(R), max_color - 1] > 0
+    occurs = np.stack([(colors_mat == c).any(axis=1) for c in (1, 2, 3)], axis=1)
+    full_range = occurs.cumprod(axis=1)[np.arange(R), max_color - 1] > 0
     bad = np.flatnonzero((max_color != chi) | ~full_range)
     _report_mismatches(check, batch, bad, chi, max_color)
     return check
@@ -466,6 +549,7 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     m = batch.metrics
     edge_coprime = coprime[m.edge_row]
     mismatched = edge_coprime & (orders[m.edge_u % n] != orders[m.edge_v % n])
+    _mark_rows(check, batch, m.edge_row[mismatched])
     for flat in np.flatnonzero(mismatched)[:MAX_COUNTEREXAMPLES]:
         r = int(m.edge_row[flat])
         check.fail(
@@ -522,6 +606,7 @@ def check_chair(max_n: int) -> TheoremCheck:
             expected += 1
         if sol.minimal_k != expected:
             check.note(f"n={n}: expected minimal k {expected}, got {sol.minimal_k}")
+            check.mark([n])
     for n in range(1, min(max_n, 256) + 1):
         ks = np.arange(2, n + 2, dtype=np.int64)
         targets = (ks[:, None] * np.arange(n, dtype=np.int64)[None, :]) % n
@@ -534,6 +619,7 @@ def check_chair(max_n: int) -> TheoremCheck:
                 f"n={n} k={int(ks[r])}: degree profile all (1,1) is {bool(all_ones[r])} "
                 f"but gcd = {math.gcd(n, int(ks[r]))}"
             )
+            check.mark([n])
     return check
 
 

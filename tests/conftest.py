@@ -164,6 +164,11 @@ def set_adjacency(successor) -> list[list[int]]:
     return [sorted(nbrs) for nbrs in neighbour_sets]
 
 
+def perm_index(group: FiniteGroup, p: tuple[int, ...]) -> int:
+    """Element index of the one-line permutation p in a sym group, by a row scan."""
+    return int(np.flatnonzero((group._perm_array == p).all(axis=1))[0])
+
+
 def perm_order(p: tuple[int, ...]) -> int:
     """Order of a permutation in one-line form: the lcm of its cycle lengths, walked by hand."""
     seen = [False] * len(p)

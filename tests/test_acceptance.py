@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import kpower.verify as V
-from conftest import edge_counts_only
+from conftest import edge_counts_only, perm_index
 from kpower import analysis
 from kpower.analysis import is_star, theorem16_structure
 from kpower.graphs import build_undirected, components
@@ -99,9 +99,8 @@ def corpus(request) -> CorpusResults:
 
 def test_criterion_01_small_group_fixtures():
     """Exact edge sets of the five small fixture graphs, in under 1 ms."""
-    idx = S3._perm_index
-    sigma1, sigma2 = idx[(1, 2, 0)], idx[(2, 0, 1)]
-    tau1, tau2, tau3 = idx[(1, 0, 2)], idx[(0, 2, 1)], idx[(2, 1, 0)]
+    sigma1, sigma2 = perm_index(S3, (1, 2, 0)), perm_index(S3, (2, 0, 1))
+    tau1, tau2, tau3 = (perm_index(S3, p) for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
     expected = {
         2: {(0, tau1), (0, tau2), (0, tau3), (sigma1, sigma2)},
         3: {(0, sigma1), (0, sigma2)},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpower.verify as V
 from kpower.analysis import analyze
 from kpower.cli import _json_text, main
 from kpower.graphs import build_undirected, to_json_dict
@@ -128,6 +129,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "60",
                            "--theorem", "components")
         assert code == 0
+
+    def test_fail_line_counts_failed_cells(self, capsys, monkeypatch):
+        group = build_group("cyclic:5")
+        check = V.TheoremCheck("edges", cells=10)
+        for k in (2, 3, 3, 4):
+            check.fail(group, k, 0, 1)
+        monkeypatch.setattr(V, "run_verification", lambda spec: [check])
+        code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "5")
+        assert code == 1
+        assert out.splitlines()[0] == "theorem edges: 10 cells, 3 failed, FAIL"
+        assert out.count("counterexample: ") == 4
 
     def test_bad_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import pairwise_edges, power_map_cases, set_adjacency, successor_matrices
+from conftest import pairwise_edges, perm_index, power_map_cases, set_adjacency, successor_matrices
 from kpower.graphs import (
     build_directed,
     build_undirected,
@@ -26,11 +26,11 @@ from kpower.verify import GroupBatch
 # the identity, the two 3-cycles, and the three transpositions.
 S3 = build_group("sym:3")
 E3 = 0
-ROT1 = S3._perm_index[(1, 2, 0)]  # (1 2 3)
-ROT2 = S3._perm_index[(2, 0, 1)]  # (1 3 2)
-SWAP12 = S3._perm_index[(1, 0, 2)]  # (1 2)
-SWAP23 = S3._perm_index[(0, 2, 1)]  # (2 3)
-SWAP13 = S3._perm_index[(2, 1, 0)]  # (1 3)
+ROT1 = perm_index(S3, (1, 2, 0))  # (1 2 3)
+ROT2 = perm_index(S3, (2, 0, 1))  # (1 3 2)
+SWAP12 = perm_index(S3, (1, 0, 2))  # (1 2)
+SWAP23 = perm_index(S3, (0, 2, 1))  # (2 3)
+SWAP13 = perm_index(S3, (2, 1, 0))  # (1 3)
 
 
 def edge_set(group, k):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iterated_power, perm_order
+from conftest import iterated_power, perm_index, perm_order
 from kpower import numth
 from kpower.groups import MAX_ORDER, build_group, parse_group_spec, successor_rows
 
@@ -134,8 +134,8 @@ class TestPower:
         z4 = build_group("cyclic:4")
         assert z4.power(1, 2) == 2
         s3 = build_group("sym:3")
-        sigma1 = s3._perm_index[(1, 2, 0)]
-        sigma2 = s3._perm_index[(2, 0, 1)]
+        sigma1 = perm_index(s3, (1, 2, 0))
+        sigma2 = perm_index(s3, (2, 0, 1))
         assert s3.power(sigma1, 2) == sigma2
 
     def test_matches_iterated_multiplication(self, small_groups):
@@ -217,9 +217,10 @@ class TestVectorisedOrders:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_sym_in_full(self, m):
         g = build_group(f"sym:{m}")
-        assert g._perms == list(itertools.permutations(range(m)))
-        assert g._perm_array.tolist() == [list(p) for p in g._perms]
-        assert g.element_orders == [perm_order(p) for p in g._perms]
+        perms = list(itertools.permutations(range(m)))
+        assert g._perm_array.dtype == np.int64
+        assert g._perm_array.tolist() == [list(p) for p in perms]
+        assert g.element_orders == [perm_order(p) for p in perms]
 
 
 class TestNames:

@@ -1,5 +1,7 @@
 """The batched engine against the per-instance library, plus sweep plumbing."""
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -116,6 +118,73 @@ class TestAgainstUniqueReference:
         self.assert_tables_match(batch.S)
 
 
+class TestCycleLabelStopRule:
+    """Cycle labelling stops at its first pass that changes no label.
+
+    Its windows double from one vertex, so a cycle of length 2^j is covered
+    after j passes and one of 2^j + 1 needs one more.  Each row below holds
+    one such cycle, in shuffled order, on the odd vertices 1, 3, 5, ...; the
+    even vertices are fixed points, so a fixed point lies between any two
+    vertices of the cycle, and a cycle vertex labelled by any vertex but the
+    cycle's least would be numbered into another component.
+    """
+
+    N_VERTICES = 68
+
+    @classmethod
+    def cycle_row(cls, rng, length, tails):
+        n = cls.N_VERTICES
+        row = np.arange(n, dtype=np.int64)
+        cycle = rng.permutation(np.arange(1, 2 * length, 2))
+        row[cycle] = np.roll(cycle, -1)
+        if tails:
+            rest = np.arange(2 * length, n)
+            row[rest] = rng.choice(cycle, size=rest.size)
+        return row
+
+    @pytest.mark.parametrize("tails", (False, True))
+    def test_cycles_of_length_power_of_two_and_one_more(self, tails):
+        rng = np.random.default_rng(2026)
+        lengths = [L for j in range(6) for L in (2**j, 2**j + 1)]
+        S = np.stack([self.cycle_row(rng, L, tails) for L in lengths for _ in range(4)])
+        TestAgainstUniqueReference.assert_tables_match(S)
+        longest = V.analyze_batch(S).comp_cycle_len.max()
+        assert longest == 2**5 + 1
+
+    def test_one_long_cycle_beside_short_ones(self):
+        # the longest cycle alone sets the pass count; every row must wait for it
+        rng = np.random.default_rng(7)
+        S = np.stack([self.cycle_row(rng, L, False) for L in (2, 3, 33, 5, 17)])
+        TestAgainstUniqueReference.assert_tables_match(S)
+
+
+class TestMemory:
+    """Peak allocations of the sweep engine, as multiples of the successor matrix.
+
+    The engine holds at most a handful of whole-batch arrays at once (about
+    4.5x ``S.nbytes`` on this batch); the bounds leave headroom but fail on a
+    return to whole-batch temporaries, which measured about 18x and 11x.
+    """
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_batch_peaks_bounded(self):
+        group = build_group("cyclic:4096")
+        ks = np.arange(2, 4098, 64, dtype=np.int64)
+        S = V.successor_rows(group, ks)
+        assert S.shape == (64, 4096)
+        assert self.traced_peak(V.analyze_batch, S) <= 6 * S.nbytes
+        batch = V.GroupBatch.build(group, ks)
+        assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
+
+
 class TestChecks:
     def test_all_theorems_pass_on_sample(self, batch):
         for name, fn in V._BATCH_CHECKS.items():
@@ -123,14 +192,20 @@ class TestChecks:
             assert check.passed, (batch.group.spec, name, check.failures[:2])
 
     def test_detects_planted_failure(self):
-        # corrupt one successor entry; several checks must light up
+        # corrupt one successor entry in each of rows k=3 and k=6; each
+        # failing check counts the distinct cells it failed on, however many
+        # counterexamples (k=6 fails connectivity twice) it lists
         group = build_group("cyclic:12")
         ks = V.exponents_for(group, None)
         S = V.successor_rows(group, ks)
         S[1, 5] = (S[1, 5] + 1) % 12
+        S[4, 7] = (S[4, 7] + 1) % 12
         batch = V.GroupBatch(group, ks, V.normalized_exponents(ks, 12), S, V.analyze_batch(S))
-        failing = [name for name, fn in V._BATCH_CHECKS.items() if not fn(batch).passed]
-        assert "degrees" in failing or "edges" in failing
+        checks = {name: fn(batch) for name, fn in V._BATCH_CHECKS.items()}
+        failed = {name: c.failed_cells for name, c in checks.items() if not c.passed}
+        assert failed == {"edges": 1, "degrees": 2, "connectivity": 1}
+        assert len(checks["connectivity"].failures) == 2
+        assert all(c.failed_cells == 0 for c in checks.values() if c.passed)
 
 
 class TestTheoremCheck:
@@ -142,12 +217,16 @@ class TestTheoremCheck:
         assert len(check.failures) == V.MAX_COUNTEREXAMPLES + 1
         assert check.failures[-1] == "..."
         assert "..." not in check.failures[:-1]
+        assert check.failed_cells == 12
 
         merged = V.TheoremCheck("edges")
         merged.fail(group, 99, 0, 1)
-        first = merged.failures[0]
+        merged.fail(group, 99, 0, 2)
+        assert merged.failed_cells == 1
+        own = list(merged.failures)
         merged.merge(check)
-        assert merged.failures == [first] + check.failures[:4] + ["..."]
+        assert merged.failures == own + check.failures[:3] + ["..."]
+        assert merged.failed_cells == 13
 
         fresh = V.TheoremCheck("edges")
         fresh.merge(check)
