@@ -7,8 +7,9 @@ public scalar functions here are one-row calls of the same code.  The graph
 side is the batch engine (``verify.analyze_batch``) in production, and the
 per-instance graph functions here and in ``graphs`` in the tests.
 
-``analyze`` is a one-row view over the batch engine that records any
-closed-form/graph disagreement in the report's ``discrepancies`` field
+``analyze`` is a one-row view over the batch engine: its
+``discrepancies`` are the counterexamples of the sweep's theorem checks on
+that one row, so a report records any closed-form/graph disagreement
 instead of reconciling it; the strict standalone operations raise
 ``TheoremViolation`` instead.
 """
@@ -16,7 +17,7 @@ instead of reconciling it; the strict standalone operations raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .graphs import (
     build_undirected,
     components,
     cycle_lengths,
-    diameter,
+    diameter,  # unused here; perfbench/tests pins this binding
     normalize_exponent,
     shape_tag,
 )
@@ -487,13 +488,6 @@ def shapes_basic_rows(n: int, kn: np.ndarray) -> np.ndarray:
     return (np.gcd(kn, n) == 1) | ((n % 4 == 2) & (kn == n // 2 + 1))
 
 
-def shapes_all_basic_criterion(n: int, k: int) -> bool:
-    """``shapes_basic_rows`` for one exponent."""
-    if n < 1:
-        raise ValueError("expects n >= 1")
-    return bool(shapes_basic_rows(n, np.array([k % n or n]))[0])
-
-
 # -- the aggregate report ---------------------------------------------------------
 
 
@@ -532,39 +526,15 @@ class AnalysisReport:
     discrepancies: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "group": self.group,
-            "k": self.k,
-            "k_normalized": self.k_normalized,
-            "edges": self.edges,
-            "edge_count_formula": self.edge_count_formula,
-            "edge_count_brute": self.edge_count_brute,
-            "degree_sequence": self.degree_sequence,
-            "components": self.component_count,
-            "component_count": self.component_count,
-            "component_shapes": self.component_shapes,
-            "is_connected": self.is_connected,
-            "diameter": self.diameter,
-            "diameter_bound": self.diameter_bound,
-            "clique_number": self.clique_number,
-            "clique_criterion_holds": self.clique_criterion_holds,
-            "chromatic_number": self.chromatic_number,
-            "is_forest": self.is_forest,
-            "forest_criterion_holds": self.forest_criterion_holds,
-            "is_star": self.is_star,
-            "star_criterion_case": self.star_criterion_case,
-            "is_empty": self.is_empty,
-            "is_perfect": self.is_perfect,
-            "cyclic": None,
-            "discrepancies": self.discrepancies,
-        }
+        """The fields in declaration order, with ``components`` repeating
+        ``component_count`` just before it."""
+        doc = {}
+        for f in fields(self):
+            if f.name == "component_count":
+                doc["components"] = self.component_count
+            doc[f.name] = getattr(self, f.name)
         if self.cyclic is not None:
-            doc["cyclic"] = {
-                "pi_criterion_connected": self.cyclic.pi_criterion_connected,
-                "tau": self.cyclic.tau,
-                "primitive_root_all_divisors": self.cyclic.primitive_root_all_divisors,
-                "thm16_structure": self.cyclic.thm16_structure,
-            }
+            doc["cyclic"] = asdict(self.cyclic)
         return doc
 
     CSV_FIELDS = (
@@ -641,18 +611,18 @@ def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:
 def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     """Compute every parameter and criterion for one (G, k) pair.
 
-    The graph side is row 0 of a one-row ``verify.GroupBatch``; only the
-    diameter (BFS) and the greedy colouring run on adjacency lists.  All
-    paired closed-form/graph values are compared; mismatches are recorded
-    in ``discrepancies`` rather than raised, so reports remain producible
-    outside any theorem's hypothesis.
+    The report reads a one-row ``verify.GroupBatch``: its graph-side metrics
+    and the closed forms and diameter its checks evaluate.  Every batch
+    check but ``thm16`` (a whole-group certificate) runs on that row, and
+    ``discrepancies`` lists their counterexamples, after the comparison of
+    ``edge_count_formula`` with the graph, rather than raising, so reports
+    remain producible outside any theorem's hypothesis.
     """
     n = group.order
     kn = normalize_exponent(k, n)
     # The row is labelled by kn: a raw k may not fit in int64, and the
     # graph depends on k only through kn.
     batch = verify.GroupBatch.build(group, np.array([kn], dtype=np.int64))
-    gr = batch.graph_for_row(0)
     m = batch.metrics
     discrepancies: list[str] = []
 
@@ -664,85 +634,26 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
         discrepancies.append(str(exc))
     if edges_formula != edges_brute:
         discrepancies.append(f"edge count: formula {edges_formula} != graph {edges_brute}")
+    for name, check in verify._BATCH_CHECKS.items():
+        if name == "thm16":
+            continue
+        try:
+            discrepancies += [f"{name}: {failure}" for failure in check(batch).failures]
+        except TheoremViolation as exc:
+            discrepancies.append(f"{name}: {exc}")
 
     connected = bool(m.connected[0])
-    criterion_connected, bound = is_connected_criterion(group, k)
-    if criterion_connected != connected:
-        discrepancies.append(
-            f"connectivity: criterion {criterion_connected} != graph {connected}"
-        )
-    diam = diameter(gr) if connected else None
-    if connected and bound is not None and diam is not None and diam > bound:
-        discrepancies.append(f"diameter {diam} exceeds bound {bound}")
-
-    omega = int(m.omega[0])
-    clique_criterion = bool(clique_criterion_rows(group, batch.kn)[0])
-    if (omega == 3) != clique_criterion:
-        discrepancies.append(f"clique: omega {omega} vs criterion {clique_criterion}")
-
-    chi, coloring = chromatic(gr)
-    if chi != int(m.chi[0]):
-        discrepancies.append(f"chromatic: greedy {chi} != cycle parity {int(m.chi[0])}")
-    colors = np.array(coloring, dtype=np.int64)
-    if np.any(colors[m.edge_u] == colors[m.edge_v]):
-        discrepancies.append("colouring is not proper")
-    if sorted(set(coloring)) != list(range(1, chi + 1)):
-        discrepancies.append("colouring does not use exactly chi colours")
-
-    forest_bool = not m.has_cycle[0]
-    forest_criterion = bool(forest_criterion_rows(group, batch.kn)[0])
-    if forest_bool != forest_criterion:
-        discrepancies.append(f"forest: graph {forest_bool} vs criterion {forest_criterion}")
-
-    star_bool = bool(m.star_shape[0])
-    star_case = str(star_case_rows(group, batch.kn)[0])
-    if star_bool != (star_case != STAR_CASE_NONE):
-        discrepancies.append(f"star: graph {star_bool} vs case {star_case}")
-
-    empty_criterion = is_empty_graph(group, k)
-    if empty_criterion != (edges_brute == 0):
-        discrepancies.append(
-            f"empty: criterion {empty_criterion} vs edge count {edges_brute}"
-        )
-
-    perfect = not m.has_long_odd_cycle[0]
-    if chi == 3 and omega == 2 and perfect:
-        discrepancies.append("perfect despite chi 3 and omega 2")
-
-    count = int(m.comp_count[0])
+    criterion_connected, bound = batch.connectivity
     cyclic_extras = None
     if group.spec.family == "cyclic":
-        pi_connected = is_connected_cyclic_pi(n, k)
-        if pi_connected != connected:
-            discrepancies.append(f"pi criterion {pi_connected} != connectivity {connected}")
-        if connected and not forest_bool:
-            discrepancies.append("connected cyclic graph is not a tree")
-        tau_n = numth.tau(n)
-        prim_root: bool | None = None
-        if math.gcd(n, kn) == 1:
-            prim_root = bool(primitive_root_rows(n, batch.kn)[0])
-            if count < tau_n:
-                discrepancies.append(f"component count {count} below tau {tau_n}")
-            if (count == tau_n) != prim_root:
-                discrepancies.append(
-                    f"component count {count} vs tau {tau_n} disagrees with "
-                    f"primitive-root criterion {prim_root}"
-                )
-            orders = np.array(group.element_orders, dtype=np.int64)
-            if np.any(orders[m.edge_u] != orders[m.edge_v]):
-                discrepancies.append("an edge joins elements of different order")
-        all_basic = bool(m.all_shapes_basic[0])
-        if all_basic != shapes_all_basic_criterion(n, kn):
-            discrepancies.append(
-                f"component shapes basic={all_basic} disagrees with the gcd criterion"
-            )
         tag = None
         if n % 4 == 2:
             if kn == n // 2:
                 tag = "two_stars"
             elif kn == n // 2 + 1:
                 tag = "half_matching"
-        cyclic_extras = CyclicExtras(pi_connected, tau_n, prim_root, tag)
+        prim_root = bool(batch.primitive_root[0]) if math.gcd(n, kn) == 1 else None
+        cyclic_extras = CyclicExtras(bool(batch.cyclic_pi[0]), numth.tau(n), prim_root, tag)
 
     return AnalysisReport(
         group=str(group.spec),
@@ -752,20 +663,21 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
         edge_count_formula=edges_formula,
         edge_count_brute=edges_brute,
         degree_sequence=sorted(m.degrees[0].tolist(), reverse=True),
-        component_count=count,
+        component_count=int(m.comp_count[0]),
         component_shapes=_component_shapes(m),
         is_connected=connected,
-        diameter=diam,
-        diameter_bound=bound,
-        clique_number=omega,
-        clique_criterion_holds=clique_criterion,
-        chromatic_number=chi,
-        is_forest=forest_bool,
-        forest_criterion_holds=forest_criterion,
-        is_star=star_bool,
-        star_criterion_case=star_case,
-        is_empty=empty_criterion,
-        is_perfect=perfect,
+        diameter=int(batch.diameters[0]) if connected else None,
+        diameter_bound=int(bound[0]) if criterion_connected[0] else None,
+        clique_number=int(m.omega[0]),
+        clique_criterion_holds=bool(batch.clique_criterion[0]),
+        # check_chromatic proves the greedy colouring uses exactly chi colours
+        chromatic_number=int(m.chi[0]),
+        is_forest=not m.has_cycle[0],
+        forest_criterion_holds=bool(batch.forest_criterion[0]),
+        is_star=bool(m.star_shape[0]),
+        star_criterion_case=str(batch.star_case[0]),
+        is_empty=bool(batch.empty_criterion[0]),
+        is_perfect=not m.has_long_odd_cycle[0],
         cyclic=cyclic_extras,
         discrepancies=discrepancies,
     )

@@ -30,7 +30,7 @@ from . import verify as verify_mod
 from .analysis import analyze
 from .chair import render_trace, solve_chairs
 from .graphs import build_undirected, to_dot, to_json_dict
-from .groups import build_group, parse_group_spec
+from .groups import FAMILIES, build_group, parse_group_spec
 
 _PARAM_CHOICES = (
     "edges",
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sweep theorem checks over families")
     p_verify.add_argument("--family", action="append", required=True,
-                          choices=("cyclic", "sym", "dihedral", "quaternion", "product"))
+                          choices=FAMILIES)
     p_verify.add_argument("--max-n", type=int, required=True, help="family parameter cap")
     p_verify.add_argument("--min-n", type=int, default=1)
     p_verify.add_argument("--k-max", type=int, default=None,
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="CSV matrix of one parameter across k")
     p_sweep.add_argument("--family", action="append", required=True,
-                         choices=("cyclic", "sym", "dihedral", "quaternion", "product"))
+                         choices=FAMILIES)
     p_sweep.add_argument("--max-n", type=int, required=True)
     p_sweep.add_argument("--min-n", type=int, default=1)
     p_sweep.add_argument("--k-max", type=int, default=None,

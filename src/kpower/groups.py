@@ -11,14 +11,15 @@ always the identity):
   product:N1xN2x..  mixed-radix tuples over Z_N1 x Z_N2 x .., last
                   coordinate varying fastest
 
-Groups are immutable once built: the operation, every element's order and
-(below order 512) a full Cayley table are materialised by ``build_group``.
-The element orders come from one vectorised closed form per family
-(h / gcd(h, i) on rotations and residues, the lcm of m / gcd(m, d) over a
-product's digits, the lcm of a permutation's cycle lengths), and
-``element_names`` builds every name family-wide; ``element_name`` is the
-scalar form they are pinned against.  Group orders are capped at 2**16;
-larger requests are rejected rather than attempted.
+Groups are immutable once built: ``build_group`` materialises every
+element's order and the family's realization data, from which
+``FiniteGroup.op`` evaluates the operation in closed form.  The element
+orders come from one vectorised closed form per family (h / gcd(h, i) on
+rotations and residues, the lcm of m / gcd(m, d) over a product's digits,
+the lcm of a permutation's cycle lengths), and ``element_names`` builds
+every name family-wide; ``element_name`` is the scalar form they are pinned
+against.  Group orders are capped at 2**16; larger requests are rejected
+rather than attempted.
 
 The power map x -> x**k is computed in one place, ``successor_rows``: a
 vectorised closed form per family over a whole array of exponents.  The
@@ -37,10 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_ORDER = 1 << 16
-
-# Cayley tables are cached below this order; above it the operation is
-# always evaluated through the family's closed-form realization.
-TABLE_CACHE_LIMIT = 512
 
 FAMILIES = ("cyclic", "sym", "dihedral", "quaternion", "product")
 
@@ -89,18 +86,44 @@ class FiniteGroup:
     _perm_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
-    _table: np.ndarray | None = field(default=None, repr=False)
     _census: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     # -- core operations ---------------------------------------------------
 
     def op(self, x: int, y: int) -> int:
-        """Group product x * y."""
+        """Group product x * y, from the family's closed-form realization."""
         self._check_index(x)
         self._check_index(y)
-        if self._table is not None:
-            return int(self._table[x, y])
-        return self._op_raw(x, y)
+        family = self.spec.family
+        if family == "cyclic":
+            return (x + y) % self.order
+        if family == "sym":
+            px, py = self._perm_array[x].tolist(), self._perm_array[y].tolist()
+            return _perm_rank([px[i] for i in py])
+        if family == "dihedral":
+            n = self.order // 2
+            i, s = x % n, x >= n
+            j, t = y % n, y >= n
+            if not s:
+                return (i + j) % n + (n if t else 0)
+            # b a^j = a^-j b, and b^2 = e
+            return (i - j) % n + (0 if t else n)
+        if family == "quaternion":
+            n2 = self.order // 2  # = 2n, the rotation subgroup size
+            i, s = x % n2, x >= n2
+            j, t = y % n2, y >= n2
+            if not s:
+                return (i + j) % n2 + (n2 if t else 0)
+            # b a^j = a^-j b, and b^2 = a^n
+            if not t:
+                return (i - j) % n2 + n2
+            return (i - j + n2 // 2) % n2
+        # product: componentwise addition
+        digits_x = self._decode(x)
+        digits_y = self._decode(y)
+        return self._encode(
+            tuple((dx + dy) % m for dx, dy, m in zip(digits_x, digits_y, self._moduli))
+        )
 
     def power(self, x: int, k: int) -> int:
         """x**k by repeated squaring; x**0 is the identity."""
@@ -172,40 +195,6 @@ class FiniteGroup:
         # product
         return "(" + ",".join(str(d) for d in self._decode(x)) + ")"
 
-    # -- realization of the operation ---------------------------------------
-
-    def _op_raw(self, x: int, y: int) -> int:
-        family = self.spec.family
-        if family == "cyclic":
-            return (x + y) % self.order
-        if family == "sym":
-            px, py = self._perm_array[x].tolist(), self._perm_array[y].tolist()
-            return _perm_rank([px[i] for i in py])
-        if family == "dihedral":
-            n = self.order // 2
-            i, s = x % n, x >= n
-            j, t = y % n, y >= n
-            if not s:
-                return (i + j) % n + (n if t else 0)
-            # b a^j = a^-j b, and b^2 = e
-            return (i - j) % n + (0 if t else n)
-        if family == "quaternion":
-            n2 = self.order // 2  # = 2n, the rotation subgroup size
-            i, s = x % n2, x >= n2
-            j, t = y % n2, y >= n2
-            if not s:
-                return (i + j) % n2 + (n2 if t else 0)
-            # b a^j = a^-j b, and b^2 = a^n
-            if not t:
-                return (i - j) % n2 + n2
-            return (i - j + n2 // 2) % n2
-        # product: componentwise addition
-        digits_x = self._decode(x)
-        digits_y = self._decode(y)
-        return self._encode(
-            tuple((dx + dy) % m for dx, dy, m in zip(digits_x, digits_y, self._moduli))
-        )
-
     def _decode(self, x: int) -> tuple[int, ...]:
         return tuple((x // s) % m for s, m in zip(self._strides, self._moduli))
 
@@ -218,7 +207,7 @@ class FiniteGroup:
 
 
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
-    """Materialise a group: operation, identity, element orders, table cache."""
+    """Materialise a group: identity, element orders and the data ``op`` reads."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     family, params = spec.family, spec.params
@@ -270,8 +259,6 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
         group._strides = tuple(reversed(strides))
 
     group.element_orders = _element_orders(group)
-    if order < TABLE_CACHE_LIMIT:
-        group._table = _build_table(group)
     return group
 
 
@@ -371,42 +358,6 @@ def _perm_cycle_notation(p: list[int]) -> str:
     return "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles)
 
 
-def _build_table(group: FiniteGroup) -> np.ndarray:
-    """Full Cayley table, vectorised for the structured families."""
-    n = group.order
-    family = group.spec.family
-    idx = np.arange(n, dtype=np.int32)
-    if family == "cyclic":
-        return (idx[:, None] + idx[None, :]) % n
-    if family == "product":
-        table = np.zeros((n, n), dtype=np.int64)
-        for stride, m in zip(group._strides, group._moduli):
-            dig = (idx // stride) % m
-            table += ((dig[:, None] + dig[None, :]) % m) * stride
-        return table.astype(np.int32)
-    if family in ("dihedral", "quaternion"):
-        half = n // 2
-        i = (idx % half)[:, None]
-        s = (idx >= half)[:, None]
-        j = (idx % half)[None, :]
-        t = (idx >= half)[None, :]
-        rot_plus = (i + j) % half
-        rot_minus = (i - j) % half
-        if family == "dihedral":
-            rotation = np.where(s, rot_minus, rot_plus)
-            reflected = s ^ t
-            return (rotation + np.where(reflected, half, 0)).astype(np.int32)
-        # quaternion: b^2 injects an extra a^n (= a^{half/2}) when both args reflect
-        rotation = np.where(s, np.where(t, (rot_minus + half // 2) % half, rot_minus), rot_plus)
-        reflected = s ^ t
-        return (rotation + np.where(reflected, half, 0)).astype(np.int32)
-    # symmetric (order < 512 means n <= 5 here): compose the one-line
-    # arrays, (x * y)[i] = x[y[i]], then rank each product.
-    perms = group._perm_array
-    products = perms[idx[:, None, None], perms[None, :, :]]
-    return _perm_ranks(perms, products).astype(np.int32)
-
-
 def _perm_ranks(perms: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Element index of each one-line array along the last axis of ``products``.
 
@@ -462,12 +413,17 @@ def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
         # with N = h/2), so its powers are one of a few fixed rows.
         h = n // 2
         i = idx[:h]
-        rotations = ((ks % h)[:, None] * i[None, :]) % h
+        out = np.empty((len(ks), n), dtype=np.int64)
+        rotations = out[:, :h]
+        np.multiply.outer(ks % h, i, out=rotations)
+        rotations %= h
         reflection_powers = [np.zeros(h, dtype=np.int64), h + i]
         if family == "quaternion":
             reflection_powers += [np.full(h, h // 2, dtype=np.int64), h + (i + h // 2) % h]
-        reflections = np.stack(reflection_powers)[ks % len(reflection_powers)]
-        return np.hstack([rotations, reflections])
+        which = ks % len(reflection_powers)
+        for p, row in enumerate(reflection_powers):
+            out[which == p, h:] = row
+        return out
     # symmetric: a per-element power table x^0 .. x^(o(x)-1), read at
     # k mod o(x); step j composes every x^j with x (one vectorised
     # composition per step, max o(x) - 1 steps) and ranks the products.

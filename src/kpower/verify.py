@@ -25,22 +25,24 @@ batch peaks at a few times the size of its successor matrix.
 
 Each theorem check then compares a closed form against these graph-side
 metrics and reports counterexamples.  The closed forms live in `analysis`,
-written once and vectorised over the exponents; `analysis.analyze` runs the
-same engine and the same closed forms on a single row.  The test suite pins
-the engine against the per-instance graph functions and networkx.
+written once and vectorised over the exponents.  `analysis.analyze` builds a
+one-row batch, runs every check but the whole-group ``thm16`` on it and
+reports their failures.  The test suite pins the engine against the
+per-instance graph functions and networkx.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
 from .graphs import KPowerGraph, diameter, graph_from_sorted_edges
-from .groups import FiniteGroup, GroupSpec, build_group, successor_rows
+from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 THEOREMS = (
     "edges",
@@ -285,7 +287,12 @@ def normalized_exponents(ks: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass
 class GroupBatch:
-    """Everything the theorem checks need for one group."""
+    """Everything the theorem checks need for one group.
+
+    The closed forms and the diameters that both a check and
+    ``analysis.analyze``'s report read are cached properties, evaluated once
+    per batch on first use.
+    """
 
     group: FiniteGroup
     ks: np.ndarray
@@ -298,6 +305,45 @@ class GroupBatch:
         kn = normalized_exponents(ks, group.order)
         S = successor_rows(group, ks)
         return cls(group, ks, kn, S, analyze_batch(S))
+
+    @cached_property
+    def connectivity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(criterion, diameter bound) per row, from ``analysis.connectivity_rows``."""
+        return analysis.connectivity_rows(self.group, self.kn)
+
+    @cached_property
+    def diameters(self) -> np.ndarray:
+        """Each connected row's diameter, by BFS on its graph; -1 on disconnected rows."""
+        out = np.full(len(self.ks), -1, dtype=np.int64)
+        for r in np.flatnonzero(self.metrics.connected).tolist():
+            out[r] = diameter(self.graph_for_row(r))
+        return out
+
+    @cached_property
+    def clique_criterion(self) -> np.ndarray:
+        return analysis.clique_criterion_rows(self.group, self.kn)
+
+    @cached_property
+    def forest_criterion(self) -> np.ndarray:
+        return analysis.forest_criterion_rows(self.group, self.kn)
+
+    @cached_property
+    def star_case(self) -> np.ndarray:
+        return analysis.star_case_rows(self.group, self.kn)
+
+    @cached_property
+    def empty_criterion(self) -> np.ndarray:
+        return analysis.empty_criterion_rows(self.group, self.kn)
+
+    @cached_property
+    def cyclic_pi(self) -> np.ndarray:
+        """Cyclic groups only: ``analysis.cyclic_pi_rows``."""
+        return analysis.cyclic_pi_rows(self.group.order, self.kn)
+
+    @cached_property
+    def primitive_root(self) -> np.ndarray:
+        """Cyclic groups only: ``analysis.primitive_root_rows``."""
+        return analysis.primitive_root_rows(self.group.order, self.kn)
 
     def graph_for_row(self, r: int) -> KPowerGraph:
         """Row r's KPowerGraph, from its contiguous run of the batch edge arrays."""
@@ -375,10 +421,14 @@ def _mark_rows(check: TheoremCheck, batch: GroupBatch, rows: np.ndarray) -> None
 
 def _report_mismatches(check: TheoremCheck, batch: GroupBatch, bad_rows: np.ndarray,
                        expected, got) -> None:
+    """Fail every row in ``bad_rows``; ``expected`` and ``got`` are per-row
+    arrays or one value for all rows."""
+    if not bad_rows.size:
+        return
     _mark_rows(check, batch, bad_rows)
     for r in bad_rows[:MAX_COUNTEREXAMPLES]:
-        e = expected[r] if hasattr(expected, "__getitem__") else expected
-        g = got[r] if hasattr(got, "__getitem__") else got
+        e = expected[r] if isinstance(expected, np.ndarray) else expected
+        g = got[r] if isinstance(got, np.ndarray) else got
         check.fail(batch.group, int(batch.ks[r]), e, g)
 
 
@@ -429,27 +479,26 @@ def check_connectivity(batch: GroupBatch) -> TheoremCheck:
     group = batch.group
     n = group.order
     check = TheoremCheck("connectivity", cells=len(batch.ks))
-    criterion, bound = analysis.connectivity_rows(group, batch.kn)
+    criterion, bound = batch.connectivity
     got = batch.metrics.connected
     _check_rows(check, batch, criterion, got)
 
     if group.spec.family == "cyclic":
         # pi(n) subset of pi(k), and connected implies tree
-        _check_rows(check, batch, analysis.cyclic_pi_rows(n, batch.kn), got)
+        _check_rows(check, batch, batch.cyclic_pi, got)
         tree_bad = np.flatnonzero(got & (batch.metrics.edge_count != n - 1))
         _report_mismatches(check, batch, tree_bad, n - 1, batch.metrics.edge_count)
 
-    for r in np.flatnonzero(got):
-        diam = diameter(batch.graph_for_row(int(r)))
-        if diam > bound[r]:
-            check.fail(group, int(batch.ks[r]), f"diameter <= {int(bound[r])}", diam)
+    # a disconnected row's diameter reads -1, below every bound
+    diam = batch.diameters
+    for r in np.flatnonzero(diam > bound).tolist():
+        check.fail(group, int(batch.ks[r]), f"diameter <= {int(bound[r])}", int(diam[r]))
     return check
 
 
 def check_clique(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("clique", cells=len(batch.ks))
-    criterion = analysis.clique_criterion_rows(batch.group, batch.kn)
-    return _check_rows(check, batch, criterion, batch.metrics.omega == 3)
+    return _check_rows(check, batch, batch.clique_criterion, batch.metrics.omega == 3)
 
 
 def check_chromatic(batch: GroupBatch) -> TheoremCheck:
@@ -484,20 +533,18 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
 
 def check_forest(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("forest", cells=len(batch.ks))
-    criterion = analysis.forest_criterion_rows(batch.group, batch.kn)
-    return _check_rows(check, batch, criterion, ~batch.metrics.has_cycle)
+    return _check_rows(check, batch, batch.forest_criterion, ~batch.metrics.has_cycle)
 
 
 def check_star(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("star", cells=len(batch.ks))
-    case = analysis.star_case_rows(batch.group, batch.kn) != analysis.STAR_CASE_NONE
+    case = batch.star_case != analysis.STAR_CASE_NONE
     return _check_rows(check, batch, case, batch.metrics.star_shape)
 
 
 def check_empty(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("empty", cells=len(batch.ks))
-    criterion = analysis.empty_criterion_rows(batch.group, batch.kn)
-    return _check_rows(check, batch, criterion, batch.metrics.edge_count == 0)
+    return _check_rows(check, batch, batch.empty_criterion, batch.metrics.edge_count == 0)
 
 
 def check_components(batch: GroupBatch) -> TheoremCheck:
@@ -513,7 +560,7 @@ def check_components(batch: GroupBatch) -> TheoremCheck:
     if check.cells == 0:
         return check
     tau_n = numth.tau(n)
-    criterion = coprime & analysis.primitive_root_rows(n, kn)
+    criterion = coprime & batch.primitive_root
     count = batch.metrics.comp_count
     below = np.flatnonzero(coprime & (count < tau_n))
     _report_mismatches(check, batch, below, f">= tau {tau_n}", count)
@@ -654,7 +701,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for family in self.families:
-            if family not in ("cyclic", "sym", "dihedral", "quaternion", "product"):
+            if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
         for theorem in self.theorems:
             if theorem not in THEOREMS:

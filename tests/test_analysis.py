@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_degrees, pairwise_edges
-from kpower import numth
+from kpower import analysis, numth
 from kpower.analysis import (
     CyclicExtras,
     TheoremViolation,
@@ -26,7 +26,7 @@ from kpower.analysis import (
     is_star,
     min_covering_exponent,
     primitive_root_rows,
-    shapes_all_basic_criterion,
+    shapes_basic_rows,
     theorem16_structure,
 )
 from kpower.graphs import build_undirected, components, diameter
@@ -377,13 +377,13 @@ class TestShapesCriterion:
             for k in range(2, n + 2):
                 profiles = components(build_undirected(g, k))
                 all_basic = all(p.shape in basic for p in profiles)
-                assert all_basic == shapes_all_basic_criterion(n, k), (n, k)
+                assert all_basic == shapes_basic_rows(n, np.array([k % n or n]))[0], (n, k)
 
     def test_coprime_always_basic(self):
         for n in (5, 12, 31, 50):
             for k in range(2, n + 2):
                 if math.gcd(n, k) == 1:
-                    assert shapes_all_basic_criterion(n, k)
+                    assert shapes_basic_rows(n, np.array([k % n or n]))[0]
 
 
 class TestAnalyze:
@@ -434,6 +434,34 @@ class TestAnalyze:
                 for p in components(build_undirected(g, k)):
                     shapes[p.shape_tag] = shapes.get(p.shape_tag, 0) + 1
                 assert list(report.component_shapes.items()) == list(shapes.items()), (spec, k)
+
+    def test_planted_closed_form_is_reported(self, monkeypatch):
+        # P(Z31, 2) has cycles, so the true forest criterion is False.
+        monkeypatch.setattr(analysis, "forest_criterion_rows", lambda group, kn: np.ones(len(kn), dtype=bool))
+        report = analyze(Z31, 2)
+        assert report.forest_criterion_holds
+        assert not report.is_forest
+        assert report.discrepancies == ["forest: group=cyclic:31 k=2: expected True, got False"]
+
+    def test_cyclic_degree_check_runs(self, monkeypatch):
+        real = analysis.cyclic_degree_rows
+        monkeypatch.setattr(analysis, "cyclic_degree_rows", lambda n, kn, a: real(n, kn, a) + (a == 3))
+        report = analyze(build_group("cyclic:12"), 5)
+        assert report.discrepancies == ["degrees: group=cyclic:12 k=5: expected deg(3) = 1, got 0"]
+
+    def test_census_violation_is_reported_not_raised(self, monkeypatch):
+        def broken(group, kn):
+            raise TheoremViolation("planted census fault")
+
+        monkeypatch.setattr(analysis, "edge_count_rows", broken)
+        report = analyze(S3, 2)
+        assert report.edge_count_formula == -1
+        assert report.edges == 4
+        assert report.discrepancies == [
+            "planted census fault",
+            "edge count: formula -1 != graph 4",
+            "edges: planted census fault",
+        ]
 
     def test_json_round_trip_field_order(self):
         import json

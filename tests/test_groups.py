@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import iterated_power, perm_index, perm_order
 from kpower import numth
-from kpower.groups import MAX_ORDER, build_group, parse_group_spec, successor_rows
+from kpower.groups import MAX_ORDER, _perm_ranks, build_group, parse_group_spec, successor_rows
 
 # Exhaustive-scan corpus: one of each family, orders <= 48.
 SMALL_SPECS = (
@@ -248,25 +248,16 @@ class TestNames:
         assert g.element_names() == [g.element_name(x) for x in range(g.order)]
 
 
-class TestTableCache:
-    def test_table_matches_raw_op(self):
-        for spec in ("cyclic:9", "dihedral:5", "quaternion:3", "sym:4", "product:3x4"):
-            g = build_group(spec)
-            assert g._table is not None
-            for x in range(g.order):
-                for y in range(g.order):
-                    assert int(g._table[x, y]) == g._op_raw(x, y)
-
+class TestPermRanks:
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_symmetric_table_matches_raw_op(self, n):
+    def test_ranks_of_all_products_match_op(self, n):
+        """``_perm_ranks`` ranks every pairwise composition as the scalar ``op`` does."""
         g = build_group(f"sym:{n}")
-        assert g._table is not None and g._table.dtype == np.int32
-        expected = [[g._op_raw(x, y) for y in range(g.order)] for x in range(g.order)]
-        assert g._table.tolist() == expected
-
-    def test_no_table_above_limit(self):
-        assert build_group("sym:6")._table is None
-        assert build_group("cyclic:600")._table is None
+        perms = g._perm_array
+        # (x * y)[i] = x[y[i]]
+        products = perms[np.arange(g.order)[:, None, None], perms[None, :, :]]
+        expected = [[g.op(x, y) for y in range(g.order)] for x in range(g.order)]
+        assert _perm_ranks(perms, products).tolist() == expected
 
 
 # Every family, with the groups of order 1 and 2 among them.

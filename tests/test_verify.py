@@ -207,6 +207,17 @@ class TestChecks:
         assert len(checks["connectivity"].failures) == 2
         assert all(c.failed_cells == 0 for c in checks.values() if c.passed)
 
+    def test_one_value_for_all_rows_is_reported_whole(self):
+        # check_perfect names its expected value with one string for every
+        # row; the counterexample must show that string, not one character
+        group = build_group("cyclic:31")
+        batch = V.GroupBatch.build(group, np.arange(2, 33))
+        batch.metrics.has_long_odd_cycle[:] = False
+        check = V.check_perfect(batch)
+        assert check.failures[0] == "group=cyclic:31 k=2: expected imperfect, got perfect"
+        m = batch.metrics
+        assert check.failed_cells == int(((m.chi == 3) & (m.omega != 3)).sum()) > 0
+
 
 class TestTheoremCheck:
     def test_counterexamples_are_capped_with_one_marker(self):
