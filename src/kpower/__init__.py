@@ -30,9 +30,7 @@ from .analysis import (
 from .chair import ChairSolution, degree_profile, solve_chairs
 from .graphs import (
     ComponentProfile,
-    DirectedKPowerGraph,
     KPowerGraph,
-    build_directed,
     build_undirected,
     components,
     cycle_lengths,
@@ -60,7 +58,6 @@ __all__ = [
     "AnalysisReport",
     "ChairSolution",
     "ComponentProfile",
-    "DirectedKPowerGraph",
     "FiniteGroup",
     "GroupSpec",
     "HalfExponentCertificate",
@@ -68,7 +65,6 @@ __all__ = [
     "TheoremViolation",
     "adjacency_preserves_order",
     "analyze",
-    "build_directed",
     "build_group",
     "build_undirected",
     "chromatic",

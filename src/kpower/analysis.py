@@ -4,8 +4,11 @@ Each closed form is written once, as a ``*_rows`` function of the group's
 order census vectorised over an array ``kn`` of normalised exponents.  The
 sweep checks in ``verify`` evaluate it on a whole group's exponents; the
 public scalar functions here are one-row calls of the same code.  The graph
-side is the batch engine (``verify.analyze_batch``) in production, and the
-per-instance graph functions here and in ``graphs`` in the tests.
+side of the component queries is the batch engine's component pass: on a
+whole batch in ``verify.analyze_batch``, and on one graph through the views
+in ``graphs``.  Only the greedy colouring, BFS distances and the diameter
+walk adjacency lists.  The tests pin the engine against list-walking
+references.
 
 ``analyze`` is a one-row view over the batch engine: its
 ``discrepancies`` are the counterexamples of the sweep's theorem checks on
@@ -23,13 +26,9 @@ import numpy as np
 
 from . import numth, verify
 from .graphs import (
-    SHAPE_CYCLE,
-    SHAPE_ISOLATED,
-    SHAPE_K2,
-    SHAPE_TREE,
-    SHAPE_UNICYCLIC,
     KPowerGraph,
     build_undirected,
+    component_shape,
     components,
     cycle_lengths,
     diameter,  # unused here; perfbench/tests pins this binding
@@ -212,24 +211,14 @@ def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
 def clique_number(gr: KPowerGraph, group: FiniteGroup, k: int) -> tuple[int, bool]:
     """(omega, criterion): the graph-side clique number, never above 3,
     and the order-census test for omega = 3."""
+    # The triangles of a functional graph are its directed 3-cycles.
     if gr.edge_count == 0:
         omega = 1
-    elif _has_triangle(gr):
+    elif 3 in cycle_lengths(gr):
         omega = 3
     else:
         omega = 2
     return omega, bool(clique_criterion_rows(group, _one_row(k, group.order))[0])
-
-
-def _has_triangle(gr: KPowerGraph) -> bool:
-    adj_sets = [set(nbrs) for nbrs in gr.adjacency]
-    for u, v in gr.edges():
-        probe, other = (u, v) if len(gr.adjacency[u]) <= len(gr.adjacency[v]) else (v, u)
-        other_set = adj_sets[other]
-        for w in gr.adjacency[probe]:
-            if w != other and w in other_set:
-                return True
-    return False
 
 
 def chromatic(gr: KPowerGraph) -> tuple[int, list[int]]:
@@ -596,14 +585,7 @@ def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:
     edges = m.comp_edges.tolist()
     cycle = m.comp_cycle_len.tolist()  # directed: 1 = fixed point, 2 = mutual pair
     for c in order:
-        if vertices[c] == 1:
-            tag = SHAPE_ISOLATED
-        elif vertices[c] == 2 and edges[c] == 1:
-            tag = SHAPE_K2
-        elif cycle[c] >= 3:
-            tag = shape_tag(SHAPE_CYCLE if vertices[c] == cycle[c] else SHAPE_UNICYCLIC, cycle[c])
-        else:
-            tag = SHAPE_TREE
+        tag = shape_tag(*component_shape(vertices[c], edges[c], cycle[c]))
         shapes[tag] = shapes.get(tag, 0) + 1
     return shapes
 

@@ -30,7 +30,7 @@ from . import verify as verify_mod
 from .analysis import analyze
 from .chair import render_trace, solve_chairs
 from .graphs import build_undirected, to_dot, to_json_dict
-from .groups import FAMILIES, build_group, parse_group_spec
+from .groups import FAMILIES, MAX_ORDER, build_group, parse_group_spec
 
 _PARAM_CHOICES = (
     "edges",
@@ -164,6 +164,9 @@ def cmd_verify(args) -> int:
 def cmd_chair(args) -> int:
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
+        return 2
+    if args.n > MAX_ORDER:
+        print(f"error: n {args.n} exceeds the supported ceiling {MAX_ORDER}", file=sys.stderr)
         return 2
     solution = solve_chairs(args.n)
     doc = {

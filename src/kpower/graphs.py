@@ -1,12 +1,9 @@
-"""Directed and undirected k-power graphs and their structural queries.
+"""k-power graphs and their structural queries.
 
 The directed graph of (G, k) sends every x to x**k; the undirected graph
 symmetrises that map, drops loops and merges mutual arcs, so its edge set
-is exactly {x, y} with x != y and (x**k = y or y**k = x).
-
-Since every vertex has out-degree one, each undirected component carries
-at most one cycle (the graphs are pseudoforests); the component classifier
-below leans on that.
+is exactly {x, y} with x != y and (x**k = y or y**k = x).  A `KPowerGraph`
+is the undirected graph together with the successor map it was built from.
 
 The undirected edges come from the successor map s by one rule, shared
 with the sweep engine (``verify.analyze_batch``): every arc x -> s(x) with
@@ -15,19 +12,19 @@ the same edge twice, so the arc leaving its larger end is dropped.  The
 kept keys min*n + max are then distinct, and one sort lists the edges in
 (u, v) order, from which the adjacency lists fill already sorted.
 
-Fixed points need no power map: x**k = x iff o(x) divides k - 1, and since
-o(x) divides o(G) that holds iff it divides k_normalized - 1.
+Every vertex has out-degree one, so each component carries exactly one
+directed cycle.  One vectorised pass over the successor map, `_components`,
+finds them: the sweep engine runs it on a whole batch, `components` on one.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
-powering: congruent exponents give the identical graph, and the normalised
-value is the canonical cache/report key.  Both raw and normalised k are
-kept on the graph objects.
+powering: congruent exponents give the identical graph.  Both raw and
+normalised k are kept on the graph objects.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,28 +46,12 @@ def normalize_exponent(k: int, order: int) -> int:
 
 
 @dataclass
-class DirectedKPowerGraph:
-    group_order: int
-    k: int
-    k_normalized: int
-    successor: list[int]
-
-    @property
-    def fixed_points(self) -> list[int]:
-        """Vertices with x**k = x; these carry no arc."""
-        return [x for x, s in enumerate(self.successor) if s == x]
-
-    def arcs(self) -> list[tuple[int, int]]:
-        """All arcs x -> x**k with x != x**k, in vertex order."""
-        return [(x, s) for x, s in enumerate(self.successor) if s != x]
-
-
-@dataclass
 class KPowerGraph:
     group_order: int
     k: int
     k_normalized: int
     adjacency: list[list[int]]  # sorted neighbour lists, loop-free
+    successor: np.ndarray = field(compare=False)  # the int64 map x -> x**k
 
     @property
     def edge_count(self) -> int:
@@ -104,13 +85,6 @@ def shape_tag(shape: str, cycle_length: int | None) -> str:
     return shape
 
 
-def build_directed(group: FiniteGroup, k: int) -> DirectedKPowerGraph:
-    """The functional graph x -> x**k on the group's element indices."""
-    k_norm = normalize_exponent(k, group.order)
-    successor = successor_rows(group, [k_norm])[0].tolist()
-    return DirectedKPowerGraph(group.order, k, k_norm, successor)
-
-
 def build_undirected(group: FiniteGroup, k: int) -> KPowerGraph:
     """Symmetrised, de-duplicated, loop-free k-power graph."""
     k_norm = normalize_exponent(k, group.order)
@@ -129,11 +103,12 @@ def undirected_from_successor(successor: list[int] | np.ndarray, k: int, k_norm:
     keep = (succ != ident) & ((succ[succ] != ident) | (ident < succ))
     tail, head = ident[keep], succ[keep]
     keys = np.sort(np.minimum(tail, head) * n + np.maximum(tail, head))
-    return graph_from_sorted_edges(n, k, k_norm, (keys // n).tolist(), (keys % n).tolist())
+    return graph_from_sorted_edges(succ, k, k_norm, (keys // n).tolist(), (keys % n).tolist())
 
 
-def graph_from_sorted_edges(n: int, k: int, k_norm: int, us: list[int], vs: list[int]) -> KPowerGraph:
-    """The graph on n vertices whose edges (us[i], vs[i]), us[i] < vs[i], come in (u, v) order.
+def graph_from_sorted_edges(succ: np.ndarray, k: int, k_norm: int, us: list[int], vs: list[int]) -> KPowerGraph:
+    """The graph of the int64 successor map ``succ``, whose edges (us[i], vs[i]),
+    us[i] < vs[i], come in (u, v) order.
 
     In that order every vertex meets its lower neighbours (ascending) before
     its higher ones (ascending), so appending edge by edge leaves each
@@ -146,69 +121,128 @@ def graph_from_sorted_edges(n: int, k: int, k_norm: int, us: list[int], vs: list
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        adjacency: list[list[int]] = [[] for _ in range(n)]
+        adjacency: list[list[int]] = [[] for _ in range(succ.size)]
         for u, v in zip(us, vs):
             adjacency[u].append(v)
             adjacency[v].append(u)
     finally:
         if was_enabled:
             gc.enable()
-    return KPowerGraph(n, k, k_norm, adjacency)
+    return KPowerGraph(succ.size, k, k_norm, adjacency, succ)
+
+
+def _components(succ: np.ndarray):
+    """Components of the functional graph ``succ``, one per directed cycle.
+
+    Returns, with components numbered in ascending order of their cycles'
+    least vertices: those least vertices, every vertex's component number,
+    each component's cycle length and each component's least vertex.
+    """
+    N = succ.size
+    # Peel vertices of in-degree zero until only the directed cycles remain.
+    # A peeled vertex's in-degree is set to -1, so no later frontier holds it
+    # again; every vertex a level points to is on a cycle or in a later level.
+    indeg = np.bincount(succ, minlength=N)
+    levels = []
+    frontier = np.flatnonzero(indeg == 0)
+    while frontier.size:
+        levels.append(frontier)
+        indeg -= np.bincount(succ[frontier], minlength=N)
+        indeg[frontier] = -1
+        frontier = np.flatnonzero(indeg == 0)
+    on_cycle = indeg > 0
+    del indeg, frontier
+
+    # Number the M on-cycle vertices 0..M-1 in id order, so that a compact
+    # number orders as the vertex it names, and follow the cycles on them.
+    cycle = np.flatnonzero(on_cycle)
+    M = cycle.size
+    compact = np.empty(N, dtype=np.int64)
+    compact[cycle] = np.arange(M, dtype=np.int64)
+    jump = succ[cycle]
+    del cycle
+    jump = compact[jump]
+    del compact
+
+    # Label each cycle by its least vertex: doubling windows with minimum.
+    # After t passes a label is the least of the window of w = 2^t vertices
+    # that starts at it.  Stop at the first pass that changes no label:
+    # while w < L on a cycle of length L whose least vertex is m, the vertex
+    # w steps before m has a window that misses m (labels start distinct,
+    # so its label is above m), and the next pass lowers it to m.  So a pass
+    # with no change means w >= L on every cycle and every label is final.
+    # The passes swap two buffers; mode="clip" lets take write into `out`
+    # directly (the default mode copies it), and every index is in range.
+    label = np.arange(M, dtype=np.int64)
+    spare = np.empty(M, dtype=np.int64)
+    while True:
+        ahead = np.take(label, jump, out=spare, mode="clip")
+        if not (ahead < label).any():
+            break
+        np.minimum(label, ahead, out=label)
+        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
+    del jump, spare, ahead
+
+    # Each cycle's least vertex labels itself, so a running count over those
+    # roots numbers the components densely in ascending label order.  Tail
+    # vertices take their successor's component, level by level from the
+    # cycles outward; the least vertex of a component is its root or a tail.
+    root = label == np.arange(M, dtype=np.int64)
+    cycle = np.flatnonzero(on_cycle)
+    uniq = cycle[root]
+    cycle_dense = np.cumsum(root)
+    cycle_dense -= 1
+    cycle_dense = cycle_dense[label]
+    del root, label
+    comp_dense = np.empty(N, dtype=np.int64)
+    comp_dense[cycle] = cycle_dense
+    del cycle
+    comp_cycle_len = np.bincount(cycle_dense, minlength=uniq.size)
+    del cycle_dense
+    comp_least = uniq.copy()
+    for level in reversed(levels):
+        dense = comp_dense[succ[level]]
+        comp_dense[level] = dense
+        np.minimum.at(comp_least, dense, level)
+    return uniq, comp_dense, comp_cycle_len, comp_least
 
 
 def components(gr: KPowerGraph) -> list[ComponentProfile]:
-    """Connected components, classified by shape, ordered by least member."""
-    n = gr.group_order
-    adjacency = gr.adjacency
-    seen = [False] * n
+    """Connected components, classified by shape, ordered by least member.
+
+    A view over `_components` on the graph's successor map.  A component
+    with V vertices has V arcs, one leaving each vertex, and its undirected
+    graph loses one edge to them when its directed cycle has length L <= 2:
+    the loop of a fixed point, or the two arcs of a mutual pair.
+    """
+    _, comp, cycle_len, least = _components(gr.successor)
+    sizes = np.bincount(comp, minlength=cycle_len.size)
+    edges = sizes - (cycle_len <= 2)
+    # A stable sort keeps each component's vertices in ascending order.
+    members = np.argsort(comp, kind="stable").tolist()
+    ends = np.cumsum(sizes).tolist()
+    sizes, edges, cycle_len = sizes.tolist(), edges.tolist(), cycle_len.tolist()
     profiles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        order = [start]
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-                    queue.append(w)
-        order.sort()
-        edge_count = sum(len(adjacency[v]) for v in order) // 2
-        profiles.append(_classify_component(order, edge_count, adjacency))
+    for c in np.argsort(least).tolist():
+        shape, cycle = component_shape(sizes[c], edges[c], cycle_len[c])
+        vertices = members[ends[c] - sizes[c]:ends[c]]
+        profiles.append(ComponentProfile(vertices, sizes[c], edges[c], shape, cycle))
     return profiles
 
 
-def _classify_component(vertices: list[int], edge_count: int, adjacency) -> ComponentProfile:
-    v = len(vertices)
-    if v == 1:
-        return ComponentProfile(vertices, 1, edge_count, SHAPE_ISOLATED, None)
-    if v == 2 and edge_count == 1:
-        return ComponentProfile(vertices, 2, 1, SHAPE_K2, None)
-    if edge_count == v - 1:
-        return ComponentProfile(vertices, v, edge_count, SHAPE_TREE, None)
-    if edge_count != v:
-        raise RuntimeError(
-            f"component with {v} vertices and {edge_count} edges is not a pseudotree"
-        )
-    # Exactly one cycle: strip leaves until only the cycle remains.
-    degree = {u: len(adjacency[u]) for u in vertices}
-    leaves = [u for u in vertices if degree[u] == 1]
-    while leaves:
-        u = leaves.pop()
-        degree[u] = 0
-        for w in adjacency[u]:
-            if degree[w] > 1:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    cycle_len = sum(1 for u in vertices if degree[u] >= 2)
-    if cycle_len < 3:
-        raise RuntimeError("undirected cycle shorter than 3 cannot occur in a simple graph")
-    shape = SHAPE_CYCLE if cycle_len == v else SHAPE_UNICYCLIC
-    return ComponentProfile(vertices, v, edge_count, shape, cycle_len)
+def component_shape(vertex_count: int, edge_count: int, cycle_length: int) -> tuple[str, int | None]:
+    """A component's shape and the length of its undirected cycle, if any.
+
+    ``cycle_length`` is the length of the component's directed cycle: a
+    fixed point (1) or a mutual pair (2) closes no undirected cycle.
+    """
+    if vertex_count == 1:
+        return SHAPE_ISOLATED, None
+    if vertex_count == 2 and edge_count == 1:
+        return SHAPE_K2, None
+    if cycle_length < 3:
+        return SHAPE_TREE, None
+    return (SHAPE_CYCLE if vertex_count == cycle_length else SHAPE_UNICYCLIC), cycle_length
 
 
 def has_cycle(gr: KPowerGraph) -> bool:
@@ -278,10 +312,9 @@ def to_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
 
 def to_json_dict(group: FiniteGroup, gr: KPowerGraph) -> dict:
     """Stable JSON document: spec string, k, sorted edges, fixed points."""
-    orders = np.array(group.element_orders, dtype=np.int64)
     return {
         "group": str(group.spec),
         "k": gr.k,
         "edges": [[u, v] for u, v in gr.edges()],
-        "fixed_points": np.flatnonzero((gr.k_normalized - 1) % orders == 0).tolist(),
+        "fixed_points": np.flatnonzero(gr.successor == np.arange(gr.group_order)).tolist(),
     }

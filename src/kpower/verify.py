@@ -11,14 +11,16 @@ hash or a stable argsort:
     edge exactly when s(s(x)) = x and x > s(x), so those arcs are dropped
     and the remaining keys lo*N + hi are already distinct; one plain sort
     of them lists the edges in global (u, v) order;
-  * leaf peeling exposes the directed cycles (tails of power maps are
-    short, so the loop runs only a handful of rounds) and keeps its levels;
-  * doubling-with-minimum, over the on-cycle vertices alone, labels every
-    cycle by its least vertex and stops at the first pass that changes no
-    label, so the pass count follows the longest cycle, not the order;
-  * a running count over the cycles' least vertices numbers the
-    components in ascending label order, and the peel levels, replayed
-    from the cycles outward, carry each tail vertex to its component.
+  * the component pass, ``graphs._components``, which ``graphs.components``
+    also runs on a single graph:
+    - leaf peeling exposes the directed cycles (tails of power maps are
+      short, so the loop runs only a handful of rounds) and keeps its levels;
+    - doubling-with-minimum, over the on-cycle vertices alone, labels every
+      cycle by its least vertex and stops at the first pass that changes no
+      label, so the pass count follows the longest cycle, not the order;
+    - a running count over the cycles' least vertices numbers the
+      components in ascending label order, and the peel levels, replayed
+      from the cycles outward, carry each tail vertex to its component.
 
 Each whole-batch temporary is dropped once its last use is past, so a
 batch peaks at a few times the size of its successor matrix.
@@ -27,8 +29,8 @@ Each theorem check then compares a closed form against these graph-side
 metrics and reports counterexamples.  The closed forms live in `analysis`,
 written once and vectorised over the exponents.  `analysis.analyze` builds a
 one-row batch, runs every check but the whole-group ``thm16`` on it and
-reports their failures.  The test suite pins the engine against the
-per-instance graph functions and networkx.
+reports their failures.  The test suite pins the engine against
+list-walking references and networkx.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
-from .graphs import KPowerGraph, diameter, graph_from_sorted_edges
+from .graphs import KPowerGraph, _components, diameter, graph_from_sorted_edges
 from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 THEOREMS = (
@@ -196,82 +198,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     )
 
 
-def _components(succ: np.ndarray):
-    """Components of the functional graph ``succ``, one per directed cycle.
-
-    Returns, with components numbered in ascending order of their cycles'
-    least vertices: those least vertices, every vertex's component number,
-    each component's cycle length and each component's least vertex.
-    """
-    N = succ.size
-    # Peel vertices of in-degree zero until only the directed cycles remain.
-    # A peeled vertex's in-degree is set to -1, so no later frontier holds it
-    # again; every vertex a level points to is on a cycle or in a later level.
-    indeg = np.bincount(succ, minlength=N)
-    levels = []
-    frontier = np.flatnonzero(indeg == 0)
-    while frontier.size:
-        levels.append(frontier)
-        indeg -= np.bincount(succ[frontier], minlength=N)
-        indeg[frontier] = -1
-        frontier = np.flatnonzero(indeg == 0)
-    on_cycle = indeg > 0
-    del indeg, frontier
-
-    # Number the M on-cycle vertices 0..M-1 in id order, so that a compact
-    # number orders as the vertex it names, and follow the cycles on them.
-    cycle = np.flatnonzero(on_cycle)
-    M = cycle.size
-    compact = np.empty(N, dtype=np.int64)
-    compact[cycle] = np.arange(M, dtype=np.int64)
-    jump = succ[cycle]
-    del cycle
-    jump = compact[jump]
-    del compact
-
-    # Label each cycle by its least vertex: doubling windows with minimum.
-    # After t passes a label is the least of the window of w = 2^t vertices
-    # that starts at it.  Stop at the first pass that changes no label:
-    # while w < L on a cycle of length L whose least vertex is m, the vertex
-    # w steps before m has a window that misses m (labels start distinct,
-    # so its label is above m), and the next pass lowers it to m.  So a pass
-    # with no change means w >= L on every cycle and every label is final.
-    # The passes swap two buffers; mode="clip" lets take write into `out`
-    # directly (the default mode copies it), and every index is in range.
-    label = np.arange(M, dtype=np.int64)
-    spare = np.empty(M, dtype=np.int64)
-    while True:
-        ahead = np.take(label, jump, out=spare, mode="clip")
-        if not (ahead < label).any():
-            break
-        np.minimum(label, ahead, out=label)
-        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
-    del jump, spare, ahead
-
-    # Each cycle's least vertex labels itself, so a running count over those
-    # roots numbers the components densely in ascending label order.  Tail
-    # vertices take their successor's component, level by level from the
-    # cycles outward; the least vertex of a component is its root or a tail.
-    root = label == np.arange(M, dtype=np.int64)
-    cycle = np.flatnonzero(on_cycle)
-    uniq = cycle[root]
-    cycle_dense = np.cumsum(root)
-    cycle_dense -= 1
-    cycle_dense = cycle_dense[label]
-    del root, label
-    comp_dense = np.empty(N, dtype=np.int64)
-    comp_dense[cycle] = cycle_dense
-    del cycle
-    comp_cycle_len = np.bincount(cycle_dense, minlength=uniq.size)
-    del cycle_dense
-    comp_least = uniq.copy()
-    for level in reversed(levels):
-        dense = comp_dense[succ[level]]
-        comp_dense[level] = dense
-        np.minimum.at(comp_least, dense, level)
-    return uniq, comp_dense, comp_cycle_len, comp_least
-
-
 def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
     return np.bincount(rows, minlength=R) > 0
 
@@ -368,7 +294,7 @@ class GroupBatch:
         m = self.metrics
         n = self.group.order
         return graph_from_sorted_edges(
-            n, int(self.ks[r]), int(self.kn[r]),
+            self.S[r], int(self.ks[r]), int(self.kn[r]),
             (m.edge_u[lo:hi] % n).tolist(), (m.edge_v[lo:hi] % n).tolist(),
         )
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from kpower.graphs import ComponentProfile, KPowerGraph
 from kpower.groups import FiniteGroup, build_group, successor_rows
 
 
@@ -162,6 +163,68 @@ def set_adjacency(successor) -> list[list[int]]:
             neighbour_sets[x].add(s)
             neighbour_sets[s].add(x)
     return [sorted(nbrs) for nbrs in neighbour_sets]
+
+
+def list_components(gr: KPowerGraph) -> list[ComponentProfile]:
+    """Components of a graph by BFS over its adjacency lists, ordered by least member.
+
+    This is the list-walking formulation ``graphs.components`` used before
+    it became a view over the batch engine's component pass, kept as the
+    reference it is pinned against.  A component with as many edges as
+    vertices has one cycle, found by stripping leaves until only it remains.
+    """
+    adjacency = gr.adjacency
+    seen = [False] * gr.group_order
+    profiles = []
+    for start in range(gr.group_order):
+        if seen[start]:
+            continue
+        seen[start] = True
+        vertices = [start]
+        queue = [start]
+        while queue:
+            for w in adjacency[queue.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    vertices.append(w)
+                    queue.append(w)
+        vertices.sort()
+        v = len(vertices)
+        e = sum(len(adjacency[u]) for u in vertices) // 2
+        if v == 1:
+            profiles.append(ComponentProfile(vertices, 1, e, "isolated", None))
+        elif v == 2 and e == 1:
+            profiles.append(ComponentProfile(vertices, 2, 1, "k2", None))
+        elif e == v - 1:
+            profiles.append(ComponentProfile(vertices, v, e, "tree", None))
+        else:
+            assert e == v, f"component with {v} vertices and {e} edges is not a pseudotree"
+            degree = {u: len(adjacency[u]) for u in vertices}
+            leaves = [u for u in vertices if degree[u] == 1]
+            while leaves:
+                u = leaves.pop()
+                degree[u] = 0
+                for w in adjacency[u]:
+                    if degree[w] > 1:
+                        degree[w] -= 1
+                        if degree[w] == 1:
+                            leaves.append(w)
+            cycle = sum(1 for u in vertices if degree[u] >= 2)
+            assert cycle >= 3, "an undirected cycle in a simple graph has length >= 3"
+            shape = "cycle" if cycle == v else "unicyclic"
+            profiles.append(ComponentProfile(vertices, v, e, shape, cycle))
+    return profiles
+
+
+def list_clique_number(gr: KPowerGraph) -> int:
+    """The clique number of a graph with no K_4, by a triangle search over neighbour sets."""
+    if gr.edge_count == 0:
+        return 1
+    adj_sets = [set(nbrs) for nbrs in gr.adjacency]
+    for u, v in gr.edges():
+        if adj_sets[u] & adj_sets[v]:
+            return 3
+    return 2
 
 
 def perm_index(group: FiniteGroup, p: tuple[int, ...]) -> int:

@@ -10,7 +10,7 @@ import kpower.verify as V
 from kpower.analysis import analyze
 from kpower.cli import _json_text, main
 from kpower.graphs import build_undirected, to_json_dict
-from kpower.groups import build_group
+from kpower.groups import MAX_ORDER, build_group
 
 
 def run(capsys, *argv):
@@ -160,6 +160,20 @@ class TestChair:
     def test_n1(self, capsys):
         code, out, _ = run(capsys, "chair", "--n", "1", "--format", "json")
         assert json.loads(out)["minimal_k"] == 2
+
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 10**15, 2**64])
+    def test_n_above_the_order_ceiling_exit_2(self, capsys, monkeypatch, n):
+        # rejected before any seating is simulated, so nothing of size n is allocated
+        monkeypatch.setattr("kpower.cli.solve_chairs", lambda n: pytest.fail("solve_chairs was called"))
+        code, out, err = run(capsys, "chair", "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n {n} exceeds the supported ceiling {MAX_ORDER}\n"
+
+    def test_n_at_the_order_ceiling(self, capsys):
+        code, out, _ = run(capsys, "chair", "--n", str(MAX_ORDER), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["minimal_k"] == 3
 
     def test_trace(self, capsys):
         code, out, _ = run(capsys, "chair", "--n", "6", "--trace")

@@ -3,12 +3,22 @@
 import gc
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import pairwise_edges, perm_index, power_map_cases, set_adjacency, successor_matrices
+from conftest import (
+    list_clique_number,
+    list_components,
+    pairwise_edges,
+    perm_index,
+    power_map_cases,
+    power_map_matrices,
+    set_adjacency,
+    successor_matrices,
+)
+from kpower.analysis import clique_number, is_perfect
 from kpower.graphs import (
-    build_directed,
     build_undirected,
     components,
     cycle_lengths,
@@ -62,31 +72,38 @@ class TestSmallGroupFixtures:
 
 
 class TestDirected:
+    """Every graph keeps the power map it was built from as its successor row."""
+
     def test_z4_successors(self):
-        d = build_directed(build_group("cyclic:4"), 2)
-        assert d.successor == [0, 2, 0, 2]
-        assert d.fixed_points == [0]
-        assert d.arcs() == [(1, 2), (2, 0), (3, 2)]
+        gr = build_undirected(build_group("cyclic:4"), 2)
+        assert gr.successor.tolist() == [0, 2, 0, 2]
+        assert gr.successor.dtype == np.int64
+        assert np.flatnonzero(gr.successor == np.arange(4)).tolist() == [0]
+        assert gr.edges() == [(0, 2), (1, 2), (2, 3)]
 
     def test_k_congruent_to_one_gives_fixed_points(self):
         g = build_group("dihedral:4")
-        d = build_directed(g, g.order + 1)
-        assert d.successor == list(range(g.order))
-        assert d.k_normalized == 1
+        gr = build_undirected(g, g.order + 1)
+        assert gr.successor.tolist() == list(range(g.order))
+        assert gr.k_normalized == 1
 
     def test_z31_doubling(self):
-        d = build_directed(build_group("cyclic:31"), 2)
-        assert d.successor == [(2 * x) % 31 for x in range(31)]
+        gr = build_undirected(build_group("cyclic:31"), 2)
+        assert gr.successor.tolist() == [(2 * x) % 31 for x in range(31)]
 
     def test_identity_always_fixed(self):
         for spec in ("cyclic:9", "sym:4", "quaternion:3"):
             g = build_group(spec)
             for k in (2, 3, 7):
-                assert build_directed(g, k).successor[g.identity] == g.identity
+                assert build_undirected(g, k).successor[g.identity] == g.identity
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            build_directed(build_group("cyclic:4"), 1)
+            build_undirected(build_group("cyclic:4"), 1)
+
+    def test_successor_is_not_compared(self):
+        gr = build_undirected(build_group("cyclic:6"), 5)
+        assert gr == undirected_from_successor(gr.successor.tolist(), 5, 5)
 
 
 class TestAgainstPairwiseDefinition:
@@ -214,9 +231,10 @@ class TestFromSuccessor:
         for spec in ("cyclic:20", "dihedral:5"):
             g = build_group(spec)
             for k in (2, 3, 5, 9):
-                d = build_directed(g, k)
-                via_succ = undirected_from_successor(d.successor, k, d.k_normalized)
-                assert via_succ.adjacency == build_undirected(g, k).adjacency
+                gr = build_undirected(g, k)
+                via_succ = undirected_from_successor(gr.successor.tolist(), k, gr.k_normalized)
+                assert via_succ.adjacency == gr.adjacency
+                assert np.array_equal(via_succ.successor, gr.successor)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_leaves_the_collector_as_it_found_it(self, enabled):
@@ -237,6 +255,7 @@ class TestAgainstSetReference:
     def assert_matches(gr, row):
         assert gr.adjacency == set_adjacency(row)
         assert all(type(v) is int for nbrs in gr.adjacency for v in nbrs)
+        assert gr.successor.tolist() == list(row)
 
     @settings(max_examples=300, deadline=None)
     @given(successor_matrices())
@@ -258,6 +277,37 @@ class TestAgainstSetReference:
             self.assert_matches(gr, rows[r])
 
 
+class TestComponentViewsAgainstListReference:
+    """The component queries, views over the engine's component pass, against
+    BFS and leaf stripping on the adjacency lists."""
+
+    # clique_number's graph side reads only the graph; the group supplies the criterion
+    TRIVIAL = build_group("cyclic:1")
+
+    def assert_matches(self, gr):
+        reference = list_components(gr)
+        profiles = components(gr)
+        assert profiles == reference
+        assert all(type(x) is int for p in profiles for x in (p.vertex_count, p.edge_count, *p.vertices))
+        cycles = sorted(p.cycle_length for p in reference if p.cycle_length is not None)
+        assert cycle_lengths(gr) == cycles
+        assert has_cycle(gr) == bool(cycles)
+        assert is_perfect(gr) == all(c == 3 or c % 2 == 0 for c in cycles)
+        assert clique_number(gr, self.TRIVIAL, 2)[0] == list_clique_number(gr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(successor_matrices())
+    def test_random_successor_maps(self, S):
+        for row in S.tolist():
+            self.assert_matches(undirected_from_successor(row, 2, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_matrices())
+    def test_power_map_rows(self, S):
+        for row in S:
+            self.assert_matches(undirected_from_successor(row, 2, 2))
+
+
 class TestOneRowPath:
     """The one-row builders read the shared power map; pin them to the definition."""
 
@@ -273,9 +323,9 @@ class TestOneRowPath:
     def test_successor_is_the_power_map(self, spec):
         g = build_group(spec)
         for k in self.exponents(g):
-            d = build_directed(g, k)
-            assert d.successor == [g.power(x, d.k_normalized) for x in range(g.order)]
-            assert all(type(s) is int for s in d.successor)
+            gr = build_undirected(g, k)
+            assert gr.successor.tolist() == [g.power(x, gr.k_normalized) for x in range(g.order)]
+            assert gr.successor.dtype == np.int64
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_exported_fixed_points(self, spec):

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 
 import kpower.verify as V
-from conftest import edge_counts_only, power_map_matrices, successor_matrices, unique_tables
+from conftest import (
+    edge_counts_only,
+    list_clique_number,
+    list_components,
+    power_map_matrices,
+    successor_matrices,
+    unique_tables,
+)
 from kpower.analysis import chromatic, clique_number, is_forest, is_perfect, is_star
-from kpower.graphs import build_undirected, components
+from kpower.graphs import build_undirected
 from kpower.groups import build_group
 
 SAMPLE_SPECS = (
@@ -42,7 +49,7 @@ class TestSuccessorRows:
 
 
 class TestBatchAgainstLibrary:
-    """Every engine metric must agree with the per-instance graph route and networkx."""
+    """Every engine metric must agree with list-walking references on the row's graph and networkx."""
 
     def test_row_metrics(self, batch):
         g = batch.group
@@ -51,7 +58,7 @@ class TestBatchAgainstLibrary:
         for r in range(0, len(batch.ks), step):
             k = int(batch.ks[r])
             gr = build_undirected(g, k)
-            profiles = components(gr)
+            profiles = list_components(gr)
             h = nx.Graph(gr.edges())
             h.add_nodes_from(range(g.order))
             assert int(m.edge_count[r]) == gr.edge_count == h.number_of_edges()
@@ -59,18 +66,19 @@ class TestBatchAgainstLibrary:
             assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
             assert bool(m.connected[r]) == (len(profiles) == 1)
             omega, _ = clique_number(gr, g, k)
-            assert int(m.omega[r]) == omega == max(len(c) for c in nx.find_cliques(h))
+            assert int(m.omega[r]) == omega == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
             assert int(m.chi[r]) == chromatic(gr)[0]
             assert bool(~m.has_cycle[r]) == is_forest(g, k, gr)[0] == nx.is_forest(h)
             assert bool(m.star_shape[r]) == is_star(g, k, gr)[0]
-            assert bool(~m.has_long_odd_cycle[r]) == is_perfect(gr)
+            long_odd = any(p.cycle_length and p.cycle_length % 2 and p.cycle_length >= 5 for p in profiles)
+            assert bool(~m.has_long_odd_cycle[r]) == is_perfect(gr) == (not long_odd)
 
     def test_component_tables(self, batch):
         g = batch.group
         m = batch.metrics
         step = max(1, len(batch.ks) // 5)
         for r in range(0, len(batch.ks), step):
-            profiles = components(build_undirected(g, int(batch.ks[r])))
+            profiles = list_components(build_undirected(g, int(batch.ks[r])))
             mask = m.comp_row == r
             assert sorted(m.comp_vertices[mask].tolist()) == sorted(p.vertex_count for p in profiles)
             assert sorted(m.comp_edges[mask].tolist()) == sorted(p.edge_count for p in profiles)
