@@ -6,8 +6,9 @@ sweep checks in ``verify`` evaluate it on a whole group's exponents; the
 public scalar functions here are one-row calls of the same code.  The graph
 side of the component queries is the batch engine's component pass: on a
 whole batch in ``verify.analyze_batch``, and on one graph through the views
-in ``graphs``.  Only the greedy colouring, BFS distances and the diameter
-walk adjacency lists.  The tests pin the engine against list-walking
+in ``graphs``.  The colouring certificate and the diameter read the same
+pass's peel levels and cycle distance parities; only ``graphs.distances_from``
+walks adjacency lists.  The tests pin the engine against list-walking
 references.
 
 ``analyze`` is a one-row view over the batch engine: its
@@ -29,9 +30,9 @@ from .graphs import (
     KPowerGraph,
     build_undirected,
     component_shape,
-    components,
     cycle_lengths,
     diameter,  # unused here; perfbench/tests pins this binding
+    has_cycle,
     normalize_exponent,
     shape_tag,
 )
@@ -221,48 +222,27 @@ def clique_number(gr: KPowerGraph, group: FiniteGroup, k: int) -> tuple[int, boo
     return omega, bool(clique_criterion_rows(group, _one_row(k, group.order))[0])
 
 
-def chromatic(gr: KPowerGraph) -> tuple[int, list[int]]:
-    """Proper colouring with the minimum number of colours (never above 3).
+def chromatic(gr: KPowerGraph) -> tuple[int, np.ndarray]:
+    """A proper colouring with the minimum number of colours (never above 3).
 
-    Vertices are coloured greedily in BFS order starting from the least
-    vertex of each component, so the output is deterministic.  Colours are
-    1-based; chi is 1 for edgeless graphs, 2 for bipartite graphs with an
-    edge, and 3 exactly when some component's cycle is odd.
+    A certificate read off the successor row, with colours 1..3 in an int8
+    array.  A vertex on a directed cycle gets 2 when its distance forward
+    to its cycle's least vertex is odd, else 1; on an odd cycle of length
+    >= 3 that leaves the least vertex and its successor both 1, so the
+    successor gets 3.  Tail vertices, from the cycles outward, get 2 when
+    their successor has 1, else 1.  So chi is 1 for edgeless graphs, 2 for
+    bipartite graphs with an edge, and 3 exactly when some component's
+    cycle is odd.
     """
-    n = gr.group_order
-    adjacency = gr.adjacency
-    colors = [0] * n
-    chi = 0
-    for root in range(n):
-        if colors[root]:
-            continue
-        colors[root] = 1
-        chi = max(chi, 1)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adjacency[v]:
-                    if colors[w]:
-                        continue
-                    used = 0
-                    for u in adjacency[w]:
-                        cu = colors[u]
-                        if cu:
-                            used |= 1 << cu
-                    c = 1
-                    while used >> c & 1:
-                        c += 1
-                    if c > 3:
-                        raise TheoremViolation(
-                            "greedy colouring needed a 4th colour; graph is not a pseudoforest"
-                        )
-                    colors[w] = c
-                    if c > chi:
-                        chi = c
-                    nxt.append(w)
-            frontier = nxt
-    return chi, colors
+    succ = gr.successor
+    cp = gr.component_pass
+    colors = np.empty(succ.size, dtype=np.int8)
+    colors[cp.on_cycle] = 1 + cp.odd
+    odd = (cp.cycle_len >= 3) & (cp.cycle_len % 2 == 1)
+    colors[succ[cp.roots[odd]]] = 3
+    for level in reversed(cp.levels):
+        colors[level] = 1 + (colors[succ[level]] == 1)
+    return int(colors.max()), colors
 
 
 def is_perfect(gr: KPowerGraph) -> bool:
@@ -307,11 +287,7 @@ def is_star(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[
     n = group.order
     if gr is None:
         gr = build_undirected(group, k)
-    graph_star = (
-        n >= 2
-        and gr.edge_count == n - 1
-        and max(len(nbrs) for nbrs in gr.adjacency) == n - 1
-    )
+    graph_star = n >= 2 and gr.edge_count == n - 1 and int(gr.degrees.max()) == n - 1
     return graph_star, str(star_case_rows(group, _one_row(k, n))[0])
 
 
@@ -342,8 +318,7 @@ def is_forest(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tupl
     """(graph-side acyclicity, criterion from ``forest_criterion_rows``)."""
     if gr is None:
         gr = build_undirected(group, k)
-    acyclic = all(p.cycle_length is None for p in components(gr))
-    return acyclic, bool(forest_criterion_rows(group, _one_row(k, group.order))[0])
+    return not has_cycle(gr), bool(forest_criterion_rows(group, _one_row(k, group.order))[0])
 
 
 # -- cyclic specialisations ------------------------------------------------------
@@ -388,7 +363,7 @@ def component_count_cyclic(n: int, k: int) -> tuple[int, int, bool]:
     if math.gcd(n, k) != 1:
         raise ValueError(f"component bound requires gcd(n, k) = 1, got gcd({n}, {k}) != 1")
     group = build_group(f"cyclic:{n}")
-    count = len(components(build_undirected(group, k)))
+    count = int(build_undirected(group, k).component_pass.roots.size)
     tau_n = numth.tau(n)
     criterion = bool(primitive_root_rows(n, _one_row(k, n))[0])
     if count < tau_n:
@@ -652,7 +627,7 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
         diameter_bound=int(bound[0]) if criterion_connected[0] else None,
         clique_number=int(m.omega[0]),
         clique_criterion_holds=bool(batch.clique_criterion[0]),
-        # check_chromatic proves the greedy colouring uses exactly chi colours
+        # check_chromatic proves the colouring certificate uses exactly chi colours
         chromatic_number=int(m.chi[0]),
         is_forest=not m.has_cycle[0],
         forest_criterion_holds=bool(batch.forest_criterion[0]),

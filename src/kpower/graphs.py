@@ -6,15 +6,20 @@ is exactly {x, y} with x != y and (x**k = y or y**k = x).  A `KPowerGraph`
 is the undirected graph together with the successor map it was built from.
 
 The undirected edges come from the successor map s by one rule, shared
-with the sweep engine (``verify.analyze_batch``): every arc x -> s(x) with
-x != s(x) is an edge, except that a mutual pair (s(s(x)) = x) would give
-the same edge twice, so the arc leaving its larger end is dropped.  The
-kept keys min*n + max are then distinct, and one sort lists the edges in
-(u, v) order, from which the adjacency lists fill already sorted.
+with the sweep engine (``verify.analyze_batch``), `kept_arcs`: every arc
+x -> s(x) with x != s(x) is an edge, except that a mutual pair
+(s(s(x)) = x) would give the same edge twice, so the arc leaving its
+larger end is dropped.  Edge and degree counts are counts of the kept
+arcs; their keys min*n + max are distinct, and one sort lists the edges in
+(u, v) order for the exports and, only when asked for, the adjacency lists.
 
 Every vertex has out-degree one, so each component carries exactly one
 directed cycle.  One vectorised pass over the successor map, `_components`,
-finds them: the sweep engine runs it on a whole batch, `components` on one.
+finds them: the sweep engine runs it on a whole batch, a `KPowerGraph` once
+on its own row.  Its peel levels and on-cycle distance parities also give the
+3-colouring certificate (``analysis.chromatic``) and the diameter of a
+connected graph, a tree, so neither walks adjacency lists; only
+`distances_from` does.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
@@ -24,7 +29,9 @@ normalised k are kept on the graph objects.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,24 +52,59 @@ def normalize_exponent(k: int, order: int) -> int:
     return order if r == 0 else r
 
 
-@dataclass
+@dataclass(eq=False)
 class KPowerGraph:
-    group_order: int
+    """The undirected graph of the successor row x -> x**k.
+
+    Everything but `distances_from` reads the row through arrays: the
+    component pass runs once per graph, on first use, and the Python
+    adjacency lists are built only if something asks for them.
+    """
+
     k: int
     k_normalized: int
-    adjacency: list[list[int]]  # sorted neighbour lists, loop-free
-    successor: np.ndarray = field(compare=False)  # the int64 map x -> x**k
+    successor: np.ndarray  # the int64 map x -> x**k
 
     @property
+    def group_order(self) -> int:
+        return self.successor.size
+
+    @cached_property
+    def component_pass(self) -> ComponentPass:
+        return _components(self.successor)
+
+    @cached_property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return int(np.count_nonzero(kept_arcs(self.successor)))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Every vertex's degree: each kept arc adds one at both ends."""
+        succ = self.successor
+        tail = np.flatnonzero(kept_arcs(succ))
+        return np.bincount(tail, minlength=succ.size) + np.bincount(succ[tail], minlength=succ.size)
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Sorted neighbour lists, loop-free."""
+        return _adjacency_lists(self.successor)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.group_order) for v in self.adjacency[u] if u < v]
+        n = self.group_order
+        keys = _edge_keys(self.successor)
+        return list(zip((keys // n).tolist(), (keys % n).tolist()))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
+
+    def __eq__(self, other) -> bool:
+        """Same exponents and the same edges; the successor rows may differ."""
+        if not isinstance(other, KPowerGraph):
+            return NotImplemented
+        return (self.k, self.k_normalized, self.group_order) == (
+            other.k, other.k_normalized, other.group_order
+        ) and np.array_equal(_edge_keys(self.successor), _edge_keys(other.successor))
 
 
 @dataclass
@@ -92,28 +134,40 @@ def build_undirected(group: FiniteGroup, k: int) -> KPowerGraph:
 
 
 def undirected_from_successor(successor: list[int] | np.ndarray, k: int, k_norm: int) -> KPowerGraph:
-    """Build the undirected graph from an already-computed successor map.
+    """The graph of an already-computed successor map."""
+    return KPowerGraph(k, k_norm, np.asarray(successor, dtype=np.int64))
 
-    Deduplicates by the rule ``verify.analyze_batch`` uses (see the module
-    docstring) and sorts the distinct edge keys once.
+
+def kept_arcs(succ: np.ndarray) -> np.ndarray:
+    """Mask of the arcs x -> s(x) that are edges, one arc per edge (see the
+    module docstring): no loop, and no arc leaving the larger end of a
+    mutual pair."""
+    ident = np.arange(succ.size, dtype=np.int64)
+    keep = succ[succ] != ident
+    keep |= ident < succ
+    keep &= succ != ident
+    return keep
+
+
+def _edge_keys(succ: np.ndarray) -> np.ndarray:
+    """The edges' keys min*n + max, distinct and sorted."""
+    tail = np.flatnonzero(kept_arcs(succ))
+    head = succ[tail]
+    keys = np.minimum(tail, head) * succ.size + np.maximum(tail, head)
+    keys.sort()
+    return keys
+
+
+def _adjacency_lists(succ: np.ndarray) -> list[list[int]]:
+    """Sorted neighbour lists of the graph of ``succ``.
+
+    In (u, v) order every vertex meets its lower neighbours (ascending)
+    before its higher ones (ascending), so appending edge by edge leaves
+    each list sorted.
     """
-    succ = np.asarray(successor, dtype=np.int64)
     n = succ.size
-    ident = np.arange(n, dtype=np.int64)
-    keep = (succ != ident) & ((succ[succ] != ident) | (ident < succ))
-    tail, head = ident[keep], succ[keep]
-    keys = np.sort(np.minimum(tail, head) * n + np.maximum(tail, head))
-    return graph_from_sorted_edges(succ, k, k_norm, (keys // n).tolist(), (keys % n).tolist())
-
-
-def graph_from_sorted_edges(succ: np.ndarray, k: int, k_norm: int, us: list[int], vs: list[int]) -> KPowerGraph:
-    """The graph of the int64 successor map ``succ``, whose edges (us[i], vs[i]),
-    us[i] < vs[i], come in (u, v) order.
-
-    In that order every vertex meets its lower neighbours (ascending) before
-    its higher ones (ascending), so appending edge by edge leaves each
-    adjacency list sorted.
-    """
+    keys = _edge_keys(succ)
+    us, vs = (keys // n).tolist(), (keys % n).tolist()
     # The n lists are n new containers: with the collector on, a graph near
     # 2^16 vertices sets off about a hundred young-generation collections
     # and a full one that walks every live graph, each time, though lists
@@ -121,22 +175,35 @@ def graph_from_sorted_edges(succ: np.ndarray, k: int, k_norm: int, us: list[int]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        adjacency: list[list[int]] = [[] for _ in range(succ.size)]
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in zip(us, vs):
             adjacency[u].append(v)
             adjacency[v].append(u)
     finally:
         if was_enabled:
             gc.enable()
-    return KPowerGraph(succ.size, k, k_norm, adjacency, succ)
+    return adjacency
 
 
-def _components(succ: np.ndarray):
+class ComponentPass(NamedTuple):
+    """`_components` on a functional graph, components numbered in ascending
+    order of their cycles' least vertices."""
+
+    roots: np.ndarray  # each cycle's least vertex, ascending
+    comp: np.ndarray  # every vertex's component number
+    cycle_len: np.ndarray  # each component's directed cycle length
+    least: np.ndarray  # each component's least vertex
+    levels: list[np.ndarray]  # the peel levels, leaves first
+    on_cycle: np.ndarray  # mask of the vertices on a directed cycle
+    odd: np.ndarray  # per on-cycle vertex, in id order: an odd number of steps forward to its root
+
+
+def _components(succ: np.ndarray) -> ComponentPass:
     """Components of the functional graph ``succ``, one per directed cycle.
 
-    Returns, with components numbered in ascending order of their cycles'
-    least vertices: those least vertices, every vertex's component number,
-    each component's cycle length and each component's least vertex.
+    It runs once per row of every sweep, on rows of a few hundred vertices,
+    so its fixed costs count: it calls array methods, not the numpy
+    functions that wrap them.
     """
     N = succ.size
     # Peel vertices of in-degree zero until only the directed cycles remain.
@@ -144,18 +211,18 @@ def _components(succ: np.ndarray):
     # again; every vertex a level points to is on a cycle or in a later level.
     indeg = np.bincount(succ, minlength=N)
     levels = []
-    frontier = np.flatnonzero(indeg == 0)
+    frontier = (indeg == 0).nonzero()[0]
     while frontier.size:
         levels.append(frontier)
         indeg -= np.bincount(succ[frontier], minlength=N)
         indeg[frontier] = -1
-        frontier = np.flatnonzero(indeg == 0)
+        frontier = (indeg == 0).nonzero()[0]
     on_cycle = indeg > 0
     del indeg, frontier
 
     # Number the M on-cycle vertices 0..M-1 in id order, so that a compact
     # number orders as the vertex it names, and follow the cycles on them.
-    cycle = np.flatnonzero(on_cycle)
+    cycle = on_cycle.nonzero()[0]
     M = cycle.size
     compact = np.empty(N, dtype=np.int64)
     compact[cycle] = np.arange(M, dtype=np.int64)
@@ -166,31 +233,40 @@ def _components(succ: np.ndarray):
 
     # Label each cycle by its least vertex: doubling windows with minimum.
     # After t passes a label is the least of the window of w = 2^t vertices
-    # that starts at it.  Stop at the first pass that changes no label:
-    # while w < L on a cycle of length L whose least vertex is m, the vertex
-    # w steps before m has a window that misses m (labels start distinct,
-    # so its label is above m), and the next pass lowers it to m.  So a pass
-    # with no change means w >= L on every cycle and every label is final.
+    # that starts at it, and `odd` the parity of the offset of its first
+    # occurrence there (the colouring reads nothing else of the offset).
+    # Stop at the first pass that changes no label: while w < L on a cycle
+    # of length L whose least vertex is m, the vertex w steps before m has
+    # a window that misses m (labels start distinct, so its label is above
+    # m), and the next pass lowers it to m.  So a pass with no change means
+    # w >= L on every cycle: every window holds its whole cycle, every
+    # label is final and every offset is the distance to m.
     # The passes swap two buffers; mode="clip" lets take write into `out`
     # directly (the default mode copies it), and every index is in range.
     label = np.arange(M, dtype=np.int64)
     spare = np.empty(M, dtype=np.int64)
+    odd = np.zeros(M, dtype=bool)
+    w = 1
     while True:
-        ahead = np.take(label, jump, out=spare, mode="clip")
-        if not (ahead < label).any():
+        ahead = label.take(jump, out=spare, mode="clip")
+        lower = ahead < label
+        if not np.count_nonzero(lower):
             break
         np.minimum(label, ahead, out=label)
-        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
-    del jump, spare, ahead
+        # a lower minimum lies in the window's second half, w steps on
+        odd[lower] = odd[jump[lower]] ^ (w == 1)
+        jump, spare = jump.take(jump, out=spare, mode="clip"), jump
+        w *= 2
+    del jump, spare, ahead, lower
 
     # Each cycle's least vertex labels itself, so a running count over those
     # roots numbers the components densely in ascending label order.  Tail
     # vertices take their successor's component, level by level from the
     # cycles outward; the least vertex of a component is its root or a tail.
     root = label == np.arange(M, dtype=np.int64)
-    cycle = np.flatnonzero(on_cycle)
+    cycle = on_cycle.nonzero()[0]
     uniq = cycle[root]
-    cycle_dense = np.cumsum(root)
+    cycle_dense = root.cumsum()
     cycle_dense -= 1
     cycle_dense = cycle_dense[label]
     del root, label
@@ -204,18 +280,19 @@ def _components(succ: np.ndarray):
         dense = comp_dense[succ[level]]
         comp_dense[level] = dense
         np.minimum.at(comp_least, dense, level)
-    return uniq, comp_dense, comp_cycle_len, comp_least
+    return ComponentPass(uniq, comp_dense, comp_cycle_len, comp_least, levels, on_cycle, odd)
 
 
 def components(gr: KPowerGraph) -> list[ComponentProfile]:
     """Connected components, classified by shape, ordered by least member.
 
-    A view over `_components` on the graph's successor map.  A component
-    with V vertices has V arcs, one leaving each vertex, and its undirected
-    graph loses one edge to them when its directed cycle has length L <= 2:
-    the loop of a fixed point, or the two arcs of a mutual pair.
+    A view over the graph's component pass.  A component with V vertices
+    has V arcs, one leaving each vertex, and its undirected graph loses one
+    edge to them when its directed cycle has length L <= 2: the loop of a
+    fixed point, or the two arcs of a mutual pair.
     """
-    _, comp, cycle_len, least = _components(gr.successor)
+    cp = gr.component_pass
+    comp, cycle_len = cp.comp, cp.cycle_len
     sizes = np.bincount(comp, minlength=cycle_len.size)
     edges = sizes - (cycle_len <= 2)
     # A stable sort keeps each component's vertices in ascending order.
@@ -223,7 +300,7 @@ def components(gr: KPowerGraph) -> list[ComponentProfile]:
     ends = np.cumsum(sizes).tolist()
     sizes, edges, cycle_len = sizes.tolist(), edges.tolist(), cycle_len.tolist()
     profiles = []
-    for c in np.argsort(least).tolist():
+    for c in np.argsort(cp.least).tolist():
         shape, cycle = component_shape(sizes[c], edges[c], cycle_len[c])
         vertices = members[ends[c] - sizes[c]:ends[c]]
         profiles.append(ComponentProfile(vertices, sizes[c], edges[c], shape, cycle))
@@ -247,12 +324,12 @@ def component_shape(vertex_count: int, edge_count: int, cycle_length: int) -> tu
 
 def has_cycle(gr: KPowerGraph) -> bool:
     """True iff some component is a cycle or carries one."""
-    return any(p.cycle_length is not None for p in components(gr))
+    return bool((gr.component_pass.cycle_len >= 3).any())
 
 
 def cycle_lengths(gr: KPowerGraph) -> list[int]:
     """Lengths of all component cycles, ascending (one per cyclic component)."""
-    return sorted(p.cycle_length for p in components(gr) if p.cycle_length is not None)
+    return sorted(length for length in gr.component_pass.cycle_len.tolist() if length >= 3)
 
 
 def distances_from(gr: KPowerGraph, v: int) -> list[int | None]:
@@ -275,24 +352,40 @@ def distances_from(gr: KPowerGraph, v: int) -> list[int | None]:
 
 
 def diameter(gr: KPowerGraph) -> int:
-    """Greatest distance between any two vertices; rejects disconnected graphs.
+    """Greatest distance between any two vertices of a connected graph.
 
-    Connected k-power graphs are trees (n vertices, at most n-1 edges), so
-    two BFS passes suffice; the dense-graph fallback scans every source.
+    A connected k-power graph is a tree: its one directed cycle is a fixed
+    point (the identity) or a mutual pair, so the tail arcs and, for a
+    pair, the pair's edge are all its edges.  Heights over the tail arcs
+    come from the peel levels, leaves first, so each level's heights are
+    final before they reach its successors.  A longest path turns at its
+    vertex nearest the cycle, down its two highest child branches, or
+    crosses the pair's edge.  Disconnected graphs, and connected ones with
+    an undirected cycle, are rejected.
     """
-    n = gr.group_order
-    dist = distances_from(gr, 0)
-    if any(d is None for d in dist):
+    cp = gr.component_pass
+    if cp.roots.size != 1:
         raise ValueError("diameter is defined for connected graphs only")
-    if n == 1:
-        return 0
-    if gr.edge_count == n - 1:
-        far = max(range(n), key=lambda u: dist[u])
-        second = distances_from(gr, far)
-        return max(second)  # type: ignore[type-var]
-    best = max(dist)
-    for source in range(1, n):
-        best = max(best, max(distances_from(gr, source)))  # type: ignore[type-var]
+    cycle_len = int(cp.cycle_len[0])
+    if cycle_len >= 3:
+        raise ValueError("diameter is computed on trees only; this graph has a cycle")
+    succ = gr.successor
+    height = np.zeros(succ.size, dtype=np.int64)
+    for level in cp.levels:
+        np.maximum.at(height, succ[level], height[level] + 1)
+    # A vertex's second branch: a child branch below its height, or its
+    # height again when two children reach it.
+    tails = (~cp.on_cycle).nonzero()[0]
+    parent = succ[tails]
+    reach = height[tails] + 1
+    top = reach == height[parent]
+    second = np.zeros(succ.size, dtype=np.int64)
+    np.maximum.at(second, parent[~top], reach[~top])
+    ties = np.bincount(parent[top], minlength=succ.size) >= 2
+    best = int(np.where(ties, 2 * height, height + second).max())
+    if cycle_len == 2:
+        root = int(cp.roots[0])
+        best = max(best, int(height[root] + height[succ[root]]) + 1)
     return best
 
 

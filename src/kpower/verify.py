@@ -5,19 +5,20 @@ maps for every k form a matrix (``groups.successor_rows``, the package's one
 vectorised power map, re-exported here) whose rows are glued into a single
 disjoint functional graph on R*n vertices.  Edges and component structure
 then fall out of a constant number of vectorised passes, none of them a
-hash or a stable argsort:
+hash, a sort or a stable argsort:
 
-  * edge dedup by mask: an arc x -> s(x) with x != s(x) repeats another
-    edge exactly when s(s(x)) = x and x > s(x), so those arcs are dropped
-    and the remaining keys lo*N + hi are already distinct; one plain sort
-    of them lists the edges in global (u, v) order;
-  * the component pass, ``graphs._components``, which ``graphs.components``
-    also runs on a single graph:
+  * edge dedup by mask (``graphs.kept_arcs``): an arc x -> s(x) with
+    x != s(x) repeats another edge exactly when s(s(x)) = x and x > s(x),
+    so those arcs are dropped and each remaining arc is one edge; edge
+    counts and degrees are bincounts of them;
+  * the component pass, ``graphs._components``, which every
+    ``graphs.KPowerGraph`` also runs on its one row:
     - leaf peeling exposes the directed cycles (tails of power maps are
       short, so the loop runs only a handful of rounds) and keeps its levels;
     - doubling-with-minimum, over the on-cycle vertices alone, labels every
-      cycle by its least vertex and stops at the first pass that changes no
-      label, so the pass count follows the longest cycle, not the order;
+      cycle by its least vertex, and each vertex by the parity of its
+      distance to it, and stops at the first pass that changes no label,
+      so the pass count follows the longest cycle, not the order;
     - a running count over the cycles' least vertices numbers the
       components in ascending label order, and the peel levels, replayed
       from the cycles outward, carry each tail vertex to its component.
@@ -26,11 +27,13 @@ Each whole-batch temporary is dropped once its last use is past, so a
 batch peaks at a few times the size of its successor matrix.
 
 Each theorem check then compares a closed form against these graph-side
-metrics and reports counterexamples.  The closed forms live in `analysis`,
-written once and vectorised over the exponents.  `analysis.analyze` builds a
-one-row batch, runs every check but the whole-group ``thm16`` on it and
-reports their failures.  The test suite pins the engine against
-list-walking references and networkx.
+metrics and reports counterexamples.  The colouring and the diameters are
+certificates built per row from the same peel levels and cycle distance
+parities; no check builds an adjacency list.  The closed forms live in
+`analysis`, written once and vectorised over the exponents.
+`analysis.analyze` builds a one-row batch, runs every check but the
+whole-group ``thm16`` on it and reports their failures.  The test suite
+pins the engine against list-walking references and networkx.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
-from .graphs import KPowerGraph, _components, diameter, graph_from_sorted_edges
+from .graphs import KPowerGraph, _components, diameter, kept_arcs
 from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 THEOREMS = (
@@ -74,9 +77,6 @@ class BatchMetrics:
     """Per-row and per-component structure of a batch of k-power graphs."""
 
     n: int
-    edge_u: np.ndarray  # flat endpoints of the deduplicated undirected edges
-    edge_v: np.ndarray
-    edge_row: np.ndarray
     edge_count: np.ndarray  # (R,)
     degrees: np.ndarray  # (R, n)
     fixed_count: np.ndarray  # (R,)
@@ -104,43 +104,29 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     succ += (np.arange(R, dtype=np.int64) * n)[:, None]
     succ = succ.ravel()
 
-    # An arc x -> s(x) is an undirected edge unless it is a loop, and a
-    # mutual pair (s(s(x)) = x) gives the same edge twice, so the arc
-    # leaving its larger end is dropped too.
-    ident = np.arange(N, dtype=np.int64)
-    fixed = succ == ident
-    fixed_count = fixed.reshape(R, n).sum(axis=1)
-    keep = succ[succ] != ident
-    keep |= ident < succ
-    keep &= ~fixed
-    del ident, fixed
-
-    uniq, comp_dense, comp_cycle_len, comp_least = _components(succ)
+    fixed_count = (S == np.arange(n)).sum(axis=1)
+    # The kept arcs are the edges, one arc each (`graphs.kept_arcs`).
+    keep = kept_arcs(succ)
+    uniq, comp_dense, comp_cycle_len, comp_least = _components(succ)[:4]
     C = uniq.size
-
-    # The kept arcs give distinct keys lo*N + hi, and sorting them puts the
-    # edges in global (u, v) order.
-    tail = np.flatnonzero(keep)
-    del keep
-    head = succ[tail]
-    del succ
-    keys = np.minimum(tail, head)
-    np.maximum(tail, head, out=head)
-    del tail
-    keys *= N
-    keys += head
-    del head
-    keys.sort()
-    edge_u = keys // N
-    edge_v = np.remainder(keys, N, out=keys)
     comp_vertices = np.bincount(comp_dense, minlength=C)
-    comp_edges = np.bincount(comp_dense[edge_u], minlength=C)
     del comp_dense
-    degrees = np.bincount(edge_u, minlength=N)
-    degrees += np.bincount(edge_v, minlength=N)
+    # A component's V arcs give V edges, less one when its directed cycle
+    # is a fixed point's loop or a mutual pair's second arc.
+    comp_edges = comp_vertices - (comp_cycle_len <= 2)
+
+    # Each kept arc adds one to the degree of both ends, and to the edge
+    # count of its row, which its head shares with its tail.
+    arcs = np.flatnonzero(keep)
+    del keep
+    degrees = np.bincount(arcs, minlength=N)
+    np.take(succ, arcs, out=arcs)
+    del succ
+    degrees += np.bincount(arcs, minlength=N)
     degrees = degrees.reshape(R, n)
-    edge_row = edge_u // n
-    edge_count = np.bincount(edge_row, minlength=R)
+    arcs //= n
+    edge_count = np.bincount(arcs, minlength=R)
+    del arcs
 
     comp_row = uniq // n
     comp_count = np.bincount(comp_row, minlength=R)
@@ -174,9 +160,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
 
     return BatchMetrics(
         n=n,
-        edge_u=edge_u,
-        edge_v=edge_v,
-        edge_row=edge_row,
         edge_count=edge_count,
         degrees=degrees,
         fixed_count=fixed_count,
@@ -239,7 +222,7 @@ class GroupBatch:
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        """Each connected row's diameter, by BFS on its graph; -1 on disconnected rows."""
+        """Each connected row's diameter, from its graph's peel levels; -1 on disconnected rows."""
         out = np.full(len(self.ks), -1, dtype=np.int64)
         for r in np.flatnonzero(self.metrics.connected).tolist():
             out[r] = diameter(self.graph_for_row(r))
@@ -272,31 +255,8 @@ class GroupBatch:
         return analysis.primitive_root_rows(self.group.order, self.kn)
 
     def graph_for_row(self, r: int) -> KPowerGraph:
-        """Row r's KPowerGraph, from its contiguous run of the batch edge arrays."""
-        lo, hi = np.searchsorted(self.metrics.edge_row, [r, r + 1])
-        return self._row_graph(r, lo, hi)
-
-    def iter_row_graphs(self):
-        """Every row's KPowerGraph, as ``graph_for_row`` builds it.
-
-        The mask dedup leaves one distinct key lo*N + hi per edge, and
-        `analyze_batch` sorts those keys, so the edges arrive in global
-        (u, v) order: each row's edges are one contiguous run, already in
-        the order ``graphs.graph_from_sorted_edges`` needs.  Each row's
-        Python lists are built from that run alone, so only one row's edges
-        exist as Python ints at a time.
-        """
-        bounds = np.searchsorted(self.metrics.edge_row, np.arange(len(self.ks) + 1)).tolist()
-        for r in range(len(self.ks)):
-            yield r, self._row_graph(r, bounds[r], bounds[r + 1])
-
-    def _row_graph(self, r: int, lo: int, hi: int) -> KPowerGraph:
-        m = self.metrics
-        n = self.group.order
-        return graph_from_sorted_edges(
-            self.S[r], int(self.ks[r]), int(self.kn[r]),
-            (m.edge_u[lo:hi] % n).tolist(), (m.edge_v[lo:hi] % n).tolist(),
-        )
+        """Row r's KPowerGraph, over its successor row."""
+        return KPowerGraph(int(self.ks[r]), int(self.kn[r]), self.S[r])
 
 
 @dataclass
@@ -401,7 +361,7 @@ def check_degrees(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_connectivity(batch: GroupBatch) -> TheoremCheck:
-    """Order criterion vs BFS connectivity; diameter bound; cyclic pi test."""
+    """Order criterion vs graph connectivity; diameter bound; cyclic pi test."""
     group = batch.group
     n = group.order
     check = TheoremCheck("connectivity", cells=len(batch.ks))
@@ -428,26 +388,30 @@ def check_clique(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_chromatic(batch: GroupBatch) -> TheoremCheck:
-    """chi <= 3, and the greedy colouring is proper with exactly chi colours."""
+    """chi <= 3, and the colouring certificate is proper with exactly chi colours."""
     check = TheoremCheck("chromatic", cells=len(batch.ks))
     chi = batch.metrics.chi
     over = np.flatnonzero(chi > 3)
     _report_mismatches(check, batch, over, "<= 3", chi)
-    n = batch.group.order
-    R = len(batch.ks)
-    # analysis.chromatic uses colours 1..3 only (it raises on a 4th)
+    S = batch.S
+    R, n = S.shape
     colors_mat = np.empty((R, n), dtype=np.int8)
-    for r, gr in batch.iter_row_graphs():
-        got_chi, colors = analysis.chromatic(gr)
+    for r in range(R):
+        got_chi, colors = analysis.chromatic(batch.graph_for_row(r))
         if got_chi != int(chi[r]):
             check.fail(batch.group, int(batch.ks[r]), int(chi[r]), got_chi)
         colors_mat[r] = colors
-    flat = colors_mat.ravel()
-    m = batch.metrics
-    conflicts = np.flatnonzero(flat[m.edge_u] == flat[m.edge_v])
-    _mark_rows(check, batch, m.edge_row[conflicts])
-    for i in conflicts[:MAX_COUNTEREXAMPLES]:
-        check.fail(batch.group, int(batch.ks[int(m.edge_row[i])]), "proper colouring", "conflict")
+    # Proper: no arc x -> s(x), s(x) != x, joins two equal colours.  Each
+    # conflicting edge is listed once, as its kept arc.
+    clash = colors_mat == np.take_along_axis(colors_mat, S, axis=1)
+    clash &= S != np.arange(n, dtype=np.int64)
+    rows, xs = np.nonzero(clash)
+    del clash
+    ys = S[rows, xs]
+    rows = rows[(S[rows, ys] != xs) | (xs < ys)]
+    _mark_rows(check, batch, rows)
+    for r in rows[:MAX_COUNTEREXAMPLES].tolist():
+        check.fail(batch.group, int(batch.ks[r]), "proper colouring", "conflict")
     # exactly chi colours: max equals chi and every colour below it occurs
     max_color = colors_mat.max(axis=1)
     occurs = np.stack([(colors_mat == c).any(axis=1) for c in (1, 2, 3)], axis=1)
@@ -519,18 +483,20 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     if check.cells == 0:
         return check
     orders = n // np.gcd(n, np.arange(n, dtype=np.int64))
-    m = batch.metrics
-    edge_coprime = coprime[m.edge_row]
-    mismatched = edge_coprime & (orders[m.edge_u % n] != orders[m.edge_v % n])
-    _mark_rows(check, batch, m.edge_row[mismatched])
-    for flat in np.flatnonzero(mismatched)[:MAX_COUNTEREXAMPLES]:
-        r = int(m.edge_row[flat])
-        check.fail(
-            group,
-            int(batch.ks[r]),
-            "order-homogeneous edge",
-            f"({int(m.edge_u[flat] % n)},{int(m.edge_v[flat] % n)})",
-        )
+    # Every edge is an arc x -> s(x); a mutual pair's two arcs are one edge,
+    # listed once as (u, v), u < v, in (row, u, v) order.
+    S = batch.S
+    mismatched = orders[S] != orders
+    mismatched &= coprime[:, None]
+    rows, xs = np.nonzero(mismatched)
+    del mismatched
+    ys = S[rows, xs]
+    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
+    keys = np.unique((rows * n + lo) * n + hi)
+    rows, lo, hi = keys // (n * n), keys // n % n, keys % n
+    _mark_rows(check, batch, rows)
+    for r, u, v in zip(rows[:MAX_COUNTEREXAMPLES].tolist(), lo.tolist(), hi.tolist()):
+        check.fail(group, int(batch.ks[r]), "order-homogeneous edge", f"({u},{v})")
     return check
 
 

@@ -105,7 +105,8 @@ def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
     """Edge and component tables of a successor matrix by the np.unique route.
 
     This is the sort-based formulation the batch engine used before its
-    mask dedup, kept as the reference it is pinned against.  Components
+    mask dedup, kept as the reference it is pinned against: per-row edge
+    counts and per-vertex degrees read off the distinct edge keys.  Components
     are labelled by walking each vertex into its cycle one step at a time
     and taking the least vertex of that cycle; the first occurrence of a
     label is then its component's least vertex.
@@ -119,6 +120,7 @@ def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
     hi = np.maximum(ident[moving], succ[moving])
     keys = np.unique(lo * N + hi)
     edge_u = keys // N
+    edge_v = keys % N
 
     step = succ.tolist()
     comp = np.empty(N, dtype=np.int64)
@@ -138,9 +140,8 @@ def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
     uniq, comp_least, comp_dense = np.unique(comp, return_index=True, return_inverse=True)
     C = uniq.size
     return {
-        "edge_u": edge_u,
-        "edge_v": keys % N,
-        "edge_row": edge_u // n,
+        "edge_count": np.bincount(edge_u // n, minlength=R),
+        "degrees": (np.bincount(edge_u, minlength=N) + np.bincount(edge_v, minlength=N)).reshape(R, n),
         "comp_row": uniq // n,
         "comp_vertices": np.bincount(comp_dense, minlength=C),
         "comp_edges": np.bincount(comp_dense[edge_u], minlength=C),
@@ -216,6 +217,40 @@ def list_components(gr: KPowerGraph) -> list[ComponentProfile]:
     return profiles
 
 
+def list_chromatic(gr: KPowerGraph) -> tuple[int, list[int]]:
+    """A greedy colouring in BFS order from each component's least vertex.
+
+    This is the list-walking formulation ``analysis.chromatic`` used before
+    it became a certificate read off the successor row, kept as the
+    reference it is pinned against.  Colours are 1-based; each vertex takes
+    the least colour none of its coloured neighbours has.
+    """
+    adjacency = gr.adjacency
+    colors = [0] * gr.group_order
+    chi = 0
+    for root in range(gr.group_order):
+        if colors[root]:
+            continue
+        colors[root] = 1
+        chi = max(chi, 1)
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if colors[w]:
+                        continue
+                    used = {colors[u] for u in adjacency[w]}
+                    c = 1
+                    while c in used:
+                        c += 1
+                    colors[w] = c
+                    chi = max(chi, c)
+                    nxt.append(w)
+            frontier = nxt
+    return chi, colors
+
+
 def list_clique_number(gr: KPowerGraph) -> int:
     """The clique number of a graph with no K_4, by a triangle search over neighbour sets."""
     if gr.edge_count == 0:
@@ -249,7 +284,7 @@ def perm_order(p: tuple[int, ...]) -> int:
     return order
 
 
-ROW_KINDS = ("random", "fixed", "involution", "cycle")
+ROW_KINDS = ("random", "fixed", "involution", "cycle", "tree")
 
 # Groups of order 1 and 2 plus one small group of each other family.
 POWER_MAP_SPECS = ("cyclic:1", "cyclic:2", "dihedral:1", "cyclic:12", "sym:3",
@@ -261,7 +296,9 @@ def successor_matrices(draw):
     """Random successor matrices, each row one functional graph on 0..n-1.
 
     A row is a random map, all fixed points, disjoint swapped pairs (an
-    involution) or one cycle over part of the vertices, with n in 1..40.
+    involution), one cycle over part of the vertices, or a connected tree
+    whose directed cycle is a fixed point or, when n >= 2, a mutual pair,
+    with n in 1..40.
     """
     n = draw(st.integers(min_value=1, max_value=40))
     R = draw(st.integers(min_value=1, max_value=6))
@@ -282,6 +319,13 @@ def successor_matrices(draw):
             cycle = perm[:length]
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 row[a] = b
+        elif kind == "tree":
+            perm = draw(st.permutations(range(n)))
+            if n >= 2 and draw(st.booleans()):
+                row[perm[0]], row[perm[1]] = perm[1], perm[0]
+            for i in range(1, n):
+                if row[perm[i]] == perm[i]:
+                    row[perm[i]] = perm[draw(st.integers(0, i - 1))]
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(R, n)
 

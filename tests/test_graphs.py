@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    list_chromatic,
     list_clique_number,
     list_components,
     pairwise_edges,
@@ -17,7 +18,8 @@ from conftest import (
     set_adjacency,
     successor_matrices,
 )
-from kpower.analysis import clique_number, is_perfect
+from kpower import graphs
+from kpower.analysis import analyze, chromatic, clique_number, is_perfect
 from kpower.graphs import (
     build_undirected,
     components,
@@ -30,7 +32,7 @@ from kpower.graphs import (
     undirected_from_successor,
 )
 from kpower.groups import build_group
-from kpower.verify import GroupBatch
+from kpower.verify import GroupBatch, SweepSpec, run_verification
 
 # S_3 elements under lexicographic enumeration, by their usual names:
 # the identity, the two 3-cycles, and the three transpositions.
@@ -241,11 +243,11 @@ class TestFromSuccessor:
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            gr = undirected_from_successor([1, 2, 0, 3], 2, 2)
+            adjacency = undirected_from_successor([1, 2, 0, 3], 2, 2).adjacency
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert gr.adjacency == [[1, 2], [0, 2], [0, 1], []]
+        assert adjacency == [[1, 2], [0, 2], [0, 1], []]
 
 
 class TestAgainstSetReference:
@@ -273,8 +275,6 @@ class TestAgainstSetReference:
             self.assert_matches(undirected_from_successor(row, int(ks[r]), int(batch.kn[r])), row)
             self.assert_matches(undirected_from_successor(batch.S[r], int(ks[r]), int(batch.kn[r])), row)
             self.assert_matches(batch.graph_for_row(r), row)
-        for r, gr in batch.iter_row_graphs():
-            self.assert_matches(gr, rows[r])
 
 
 class TestComponentViewsAgainstListReference:
@@ -306,6 +306,85 @@ class TestComponentViewsAgainstListReference:
     def test_power_map_rows(self, S):
         for row in S:
             self.assert_matches(undirected_from_successor(row, 2, 2))
+
+
+class TestCertificatesAgainstListReference:
+    """The colouring certificate and the peel-level diameter, both read off
+    the successor row, against the greedy colouring and BFS eccentricities
+    on the adjacency lists."""
+
+    @staticmethod
+    def assert_matches(row):
+        gr = undirected_from_successor(row, 2, 2)
+        chi, colors = chromatic(gr)
+        assert colors.dtype == np.int8
+        assert all(colors[u] != colors[v] for u, v in gr.edges())
+        assert sorted(set(colors.tolist())) == list(range(1, chi + 1))
+        assert chi == list_chromatic(gr)[0]
+
+        profiles = list_components(gr)
+        if len(profiles) == 1 and profiles[0].cycle_length is None:
+            eccentricities = [max(distances_from(gr, v)) for v in range(gr.group_order)]
+            assert diameter(gr) == max(eccentricities)
+        else:
+            with pytest.raises(ValueError):
+                diameter(gr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(successor_matrices())
+    def test_random_successor_maps(self, S):
+        for row in S.tolist():
+            self.assert_matches(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_matrices())
+    def test_power_map_rows(self, S):
+        for row in S:
+            self.assert_matches(row)
+
+    def test_trees_rooted_at_a_mutual_pair(self):
+        # 0 <-> 1, with a path of two below 0 and one leaf below 1: 3 - 2 - 0 - 1 - 4
+        gr = undirected_from_successor([1, 0, 0, 2, 1], 2, 2)
+        assert diameter(gr) == 4
+        assert chromatic(gr)[0] == 2
+        # one leaf below each end of the pair: the pair's edge is the middle of the path 2 - 0 - 1 - 3
+        assert diameter(undirected_from_successor([1, 0, 0, 1], 2, 2)) == 3
+
+    def test_odd_cycle_takes_a_third_colour(self):
+        # the 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0 with a tail 5 -> 1 on the third-coloured vertex
+        chi, colors = chromatic(undirected_from_successor([1, 2, 3, 4, 0, 1], 2, 2))
+        assert chi == 3
+        assert colors.tolist() == [1, 3, 2, 1, 2, 1]
+
+
+class TestNoAdjacencyLists:
+    """Sweeps, `analyze` and exports read the successor rows through arrays:
+    the lazy adjacency builder must never run."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_lists(self, monkeypatch):
+        def refuse(succ):
+            raise AssertionError("adjacency lists built")
+
+        monkeypatch.setattr(graphs, "_adjacency_lists", refuse)
+
+    def test_sweep(self):
+        families = ("cyclic", "dihedral", "quaternion", "sym", "product")
+        checks = run_verification(SweepSpec(families, 6))
+        assert all(check.passed for check in checks)
+
+    @pytest.mark.parametrize("spec,k", [("cyclic:12", 2), ("cyclic:8", 2), ("cyclic:31", 2),
+                                        ("sym:4", 3), ("quaternion:3", 6), ("product:2x4", 5)])
+    def test_analyze_and_export(self, spec, k):
+        g = build_group(spec)
+        assert analyze(g, k).discrepancies == []
+        gr = build_undirected(g, k)
+        to_dot(g, gr)
+        to_json_dict(g, gr)
+
+    def test_lists_still_build_on_request(self, monkeypatch):
+        monkeypatch.undo()
+        assert undirected_from_successor([1, 2, 0, 3], 2, 2).adjacency == [[1, 2], [0, 2], [0, 1], []]
 
 
 class TestOneRowPath:

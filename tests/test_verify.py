@@ -95,10 +95,8 @@ class TestBatchAgainstLibrary:
     def test_row_graphs_match_library(self, batch):
         g = batch.group
         step = max(1, len(batch.ks) // 5)
-        wanted = set(range(0, len(batch.ks), step))
-        for r, gr in batch.iter_row_graphs():
-            if r not in wanted:
-                continue
+        for r in range(0, len(batch.ks), step):
+            gr = batch.graph_for_row(r)
             assert gr.adjacency == build_undirected(g, int(batch.ks[r])).adjacency
 
 
