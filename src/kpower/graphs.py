@@ -16,10 +16,10 @@ arcs; their keys min*n + max are distinct, and one sort lists the edges in
 Every vertex has out-degree one, so each component carries exactly one
 directed cycle.  One vectorised pass over the successor map, `_components`,
 finds them: the sweep engine runs it on a whole batch, a `KPowerGraph` once
-on its own row.  Its peel levels and on-cycle distance parities also give the
-3-colouring certificate (``analysis.chromatic``) and the diameter of a
-connected graph, a tree, so neither walks adjacency lists; only
-`distances_from` does.
+on its own row.  Its peel levels and on-cycle distance parities (tracked on
+a graph's own pass only) also give the 3-colouring certificate
+(``analysis.chromatic``) and the diameter of a connected graph, a tree, so
+neither walks adjacency lists; only `distances_from` does.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
@@ -71,7 +71,8 @@ class KPowerGraph:
 
     @cached_property
     def component_pass(self) -> ComponentPass:
-        return _components(self.successor)
+        """The component pass, with the distance parities the colouring reads."""
+        return _components(self.successor, parity=True)
 
     @cached_property
     def edge_count(self) -> int:
@@ -141,9 +142,10 @@ def undirected_from_successor(successor: list[int] | np.ndarray, k: int, k_norm:
 def kept_arcs(succ: np.ndarray) -> np.ndarray:
     """Mask of the arcs x -> s(x) that are edges, one arc per edge (see the
     module docstring): no loop, and no arc leaving the larger end of a
-    mutual pair."""
-    ident = np.arange(succ.size, dtype=np.int64)
-    keep = succ[succ] != ident
+    mutual pair.  ``succ`` is one successor map, or a matrix whose rows
+    are each their own map."""
+    ident = np.arange(succ.shape[-1], dtype=np.int64)
+    keep = (succ[succ] if succ.ndim == 1 else np.take_along_axis(succ, succ, axis=1)) != ident
     keep |= ident < succ
     keep &= succ != ident
     return keep
@@ -195,15 +197,17 @@ class ComponentPass(NamedTuple):
     least: np.ndarray  # each component's least vertex
     levels: list[np.ndarray]  # the peel levels, leaves first
     on_cycle: np.ndarray  # mask of the vertices on a directed cycle
-    odd: np.ndarray  # per on-cycle vertex, in id order: an odd number of steps forward to its root
+    odd: np.ndarray | None  # per on-cycle vertex, in id order: an odd number of steps forward to its root
 
 
-def _components(succ: np.ndarray) -> ComponentPass:
+def _components(succ: np.ndarray, parity: bool = False) -> ComponentPass:
     """Components of the functional graph ``succ``, one per directed cycle.
 
     It runs once per row of every sweep, on rows of a few hundred vertices,
     so its fixed costs count: it calls array methods, not the numpy
-    functions that wrap them.
+    functions that wrap them.  The distance parities (``odd``) are tracked
+    only when ``parity`` asks for them: on the long cycles of a prime
+    cyclic group they cost more than the labels themselves.
     """
     N = succ.size
     # Peel vertices of in-degree zero until only the directed cycles remain.
@@ -245,7 +249,7 @@ def _components(succ: np.ndarray) -> ComponentPass:
     # directly (the default mode copies it), and every index is in range.
     label = np.arange(M, dtype=np.int64)
     spare = np.empty(M, dtype=np.int64)
-    odd = np.zeros(M, dtype=bool)
+    odd = np.zeros(M, dtype=bool) if parity else None
     w = 1
     while True:
         ahead = label.take(jump, out=spare, mode="clip")
@@ -253,8 +257,9 @@ def _components(succ: np.ndarray) -> ComponentPass:
         if not np.count_nonzero(lower):
             break
         np.minimum(label, ahead, out=label)
-        # a lower minimum lies in the window's second half, w steps on
-        odd[lower] = odd[jump[lower]] ^ (w == 1)
+        if parity:
+            # a lower minimum lies in the window's second half, w steps on
+            odd[lower] = odd[jump[lower]] ^ (w == 1)
         jump, spare = jump.take(jump, out=spare, mode="clip"), jump
         w *= 2
     del jump, spare, ahead, lower

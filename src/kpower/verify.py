@@ -16,9 +16,10 @@ hash, a sort or a stable argsort:
     - leaf peeling exposes the directed cycles (tails of power maps are
       short, so the loop runs only a handful of rounds) and keeps its levels;
     - doubling-with-minimum, over the on-cycle vertices alone, labels every
-      cycle by its least vertex, and each vertex by the parity of its
-      distance to it, and stops at the first pass that changes no label,
-      so the pass count follows the longest cycle, not the order;
+      cycle by its least vertex (a graph's own pass also marks each vertex
+      by the parity of its distance to it, for the colouring) and stops at
+      the first pass that changes no label, so the pass count follows the
+      longest cycle, not the order;
     - a running count over the cycles' least vertices numbers the
       components in ascending label order, and the peel levels, replayed
       from the cycles outward, carry each tail vertex to its component.
@@ -110,10 +111,9 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     uniq, comp_dense, comp_cycle_len, comp_least = _components(succ)[:4]
     C = uniq.size
     comp_vertices = np.bincount(comp_dense, minlength=C)
+    # Each kept arc is one edge of its tail's component.
+    comp_edges = np.bincount(comp_dense[keep], minlength=C)
     del comp_dense
-    # A component's V arcs give V edges, less one when its directed cycle
-    # is a fixed point's loop or a mutual pair's second arc.
-    comp_edges = comp_vertices - (comp_cycle_len <= 2)
 
     # Each kept arc adds one to the degree of both ends, and to the edge
     # count of its row, which its head shares with its tail.
@@ -401,14 +401,14 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
         if got_chi != int(chi[r]):
             check.fail(batch.group, int(batch.ks[r]), int(chi[r]), got_chi)
         colors_mat[r] = colors
-    # Proper: no arc x -> s(x), s(x) != x, joins two equal colours.  Each
-    # conflicting edge is listed once, as its kept arc.
+    # Proper: no edge, one kept arc each, joins two equal colours.  Every
+    # loop x -> x clashes, so only a row with more clashes than fixed points
+    # has a conflicting edge.
     clash = colors_mat == np.take_along_axis(colors_mat, S, axis=1)
-    clash &= S != np.arange(n, dtype=np.int64)
-    rows, xs = np.nonzero(clash)
+    rows = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count)
+    clash = clash[rows] & kept_arcs(S[rows])
+    rows = rows[np.nonzero(clash)[0]]
     del clash
-    ys = S[rows, xs]
-    rows = rows[(S[rows, ys] != xs) | (xs < ys)]
     _mark_rows(check, batch, rows)
     for r in rows[:MAX_COUNTEREXAMPLES].tolist():
         check.fail(batch.group, int(batch.ks[r]), "proper colouring", "conflict")
@@ -483,16 +483,18 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     if check.cells == 0:
         return check
     orders = n // np.gcd(n, np.arange(n, dtype=np.int64))
-    # Every edge is an arc x -> s(x); a mutual pair's two arcs are one edge,
-    # listed once as (u, v), u < v, in (row, u, v) order.
+    # Each edge is one kept arc x -> s(x), listed as (u, v), u < v, in
+    # (row, u, v) order.
     S = batch.S
     mismatched = orders[S] != orders
     mismatched &= coprime[:, None]
-    rows, xs = np.nonzero(mismatched)
+    rows = np.flatnonzero(mismatched.any(axis=1))
+    mismatched = mismatched[rows] & kept_arcs(S[rows])
+    at, xs = np.nonzero(mismatched)
     del mismatched
-    ys = S[rows, xs]
-    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
-    keys = np.unique((rows * n + lo) * n + hi)
+    ys = S[rows[at], xs]
+    keys = (rows[at] * n + np.minimum(xs, ys)) * n + np.maximum(xs, ys)
+    keys.sort()
     rows, lo, hi = keys // (n * n), keys // n % n, keys % n
     _mark_rows(check, batch, rows)
     for r, u, v in zip(rows[:MAX_COUNTEREXAMPLES].tolist(), lo.tolist(), hi.tolist()):

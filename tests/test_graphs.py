@@ -27,6 +27,7 @@ from kpower.graphs import (
     diameter,
     distances_from,
     has_cycle,
+    kept_arcs,
     to_dot,
     to_json_dict,
     undirected_from_successor,
@@ -215,6 +216,11 @@ class TestDistancesAndDiameter:
         with pytest.raises(ValueError):
             diameter(build_undirected(build_group("cyclic:31"), 2))
 
+    def test_connected_with_a_cycle_rejected(self):
+        # a triangle: connected, but no group's graph is, so it is not a tree
+        with pytest.raises(ValueError):
+            diameter(undirected_from_successor([1, 2, 0], 2, 2))
+
     def test_tree_shortcut_matches_full_scan(self):
         for n, k in ((8, 2), (16, 2), (27, 3), (9, 3), (4, 2)):
             g = build_group(f"cyclic:{n}")
@@ -264,6 +270,16 @@ class TestAgainstSetReference:
     def test_random_successor_maps(self, S):
         for row in S.tolist():
             self.assert_matches(undirected_from_successor(row, 2, 2), row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(successor_matrices())
+    def test_kept_arcs_of_a_matrix_are_each_rows_edges(self, S):
+        keep = kept_arcs(S)
+        for r, row in enumerate(S.tolist()):
+            assert np.array_equal(keep[r], kept_arcs(S[r]))
+            arcs = [(min(x, row[x]), max(x, row[x])) for x in np.flatnonzero(keep[r]).tolist()]
+            adjacency = set_adjacency(row)
+            assert sorted(arcs) == [(u, v) for u in range(len(row)) for v in adjacency[u] if u < v]
 
     @settings(max_examples=100, deadline=None)
     @given(power_map_cases())

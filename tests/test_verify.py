@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import kpower.verify as V
 from conftest import (
     edge_counts_only,
+    list_chromatic,
     list_clique_number,
     list_components,
     power_map_matrices,
@@ -67,7 +68,7 @@ class TestBatchAgainstLibrary:
             assert bool(m.connected[r]) == (len(profiles) == 1)
             omega, _ = clique_number(gr, g, k)
             assert int(m.omega[r]) == omega == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
-            assert int(m.chi[r]) == chromatic(gr)[0]
+            assert int(m.chi[r]) == chromatic(gr)[0] == list_chromatic(gr)[0]
             assert bool(~m.has_cycle[r]) == is_forest(g, k, gr)[0] == nx.is_forest(h)
             assert bool(m.star_shape[r]) == is_star(g, k, gr)[0]
             long_odd = any(p.cycle_length and p.cycle_length % 2 and p.cycle_length >= 5 for p in profiles)
@@ -212,6 +213,31 @@ class TestChecks:
         assert failed == {"edges": 1, "degrees": 2, "connectivity": 1}
         assert len(checks["connectivity"].failures) == 2
         assert all(c.failed_cells == 0 for c in checks.values() if c.passed)
+
+    def test_order_adjacency_lists_each_edge_once_in_order(self):
+        # row k=3: 1 <-> 2 (orders 8 and 4) is one edge, and the arc 6 -> 0
+        # (orders 4 and 1) lists first as (0,6); row k=5: the arc 7 -> 4
+        group = build_group("cyclic:8")
+        ks = np.array([3, 5], dtype=np.int64)
+        S = V.successor_rows(group, ks)
+        S[0, 1], S[0, 2], S[0, 6] = 2, 1, 0
+        S[1, 7] = 4
+        batch = V.GroupBatch(group, ks, ks, S, V.analyze_batch(S))
+        check = V.check_order_adjacency(batch)
+        assert check.failed_cells == 2
+        assert [f.rsplit(" ", 1)[1] for f in check.failures] == ["(0,6)", "(1,2)", "(4,7)"]
+        assert [f.split(":")[1].split(" ")[1] for f in check.failures] == ["k=3", "k=3", "k=5"]
+
+    def test_chromatic_lists_each_conflicting_edge_once(self, monkeypatch):
+        # cyclic:4 at k=3 has the one edge 1 <-> 3, two arcs; colour it all 1
+        group = build_group("cyclic:4")
+        batch = V.GroupBatch.build(group, np.array([3], dtype=np.int64))
+        monkeypatch.setattr(V.analysis, "chromatic", lambda gr: (2, np.ones(gr.group_order, dtype=np.int8)))
+        check = V.check_chromatic(batch)
+        assert check.failed_cells == 1
+        assert [f for f in check.failures if f.endswith("got conflict")] == [
+            "group=cyclic:4 k=3: expected proper colouring, got conflict"
+        ]
 
     def test_one_value_for_all_rows_is_reported_whole(self):
         # check_perfect names its expected value with one string for every
