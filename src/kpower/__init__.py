@@ -12,19 +12,14 @@ from .analysis import (
     AnalysisReport,
     HalfExponentCertificate,
     TheoremViolation,
-    adjacency_preserves_order,
     analyze,
     chromatic,
-    clique_number,
     component_count_cyclic,
     degree_cyclic,
     edge_count_formula,
     is_connected_criterion,
     is_connected_cyclic_pi,
     is_empty_graph,
-    is_forest,
-    is_perfect,
-    is_star,
     theorem16_structure,
 )
 from .chair import ChairSolution, degree_profile, solve_chairs
@@ -33,10 +28,8 @@ from .graphs import (
     KPowerGraph,
     build_undirected,
     components,
-    cycle_lengths,
     diameter,
     distances_from,
-    has_cycle,
     to_dot,
     to_json_dict,
 )
@@ -63,15 +56,12 @@ __all__ = [
     "HalfExponentCertificate",
     "KPowerGraph",
     "TheoremViolation",
-    "adjacency_preserves_order",
     "analyze",
     "build_group",
     "build_undirected",
     "chromatic",
-    "clique_number",
     "component_count_cyclic",
     "components",
-    "cycle_lengths",
     "degree_cyclic",
     "degree_profile",
     "diameter",
@@ -81,14 +71,10 @@ __all__ = [
     "euler_phi",
     "factorize",
     "gcd",
-    "has_cycle",
     "is_connected_criterion",
     "is_connected_cyclic_pi",
     "is_empty_graph",
-    "is_forest",
-    "is_perfect",
     "is_primitive_root",
-    "is_star",
     "multiplicative_order",
     "parse_group_spec",
     "prime_set",

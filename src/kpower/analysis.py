@@ -3,13 +3,16 @@
 Each closed form is written once, as a ``*_rows`` function of the group's
 order census vectorised over an array ``kn`` of normalised exponents.  The
 sweep checks in ``verify`` evaluate it on a whole group's exponents; the
-public scalar functions here are one-row calls of the same code.  The graph
-side of the component queries is the batch engine's component pass: on a
-whole batch in ``verify.analyze_batch``, and on one graph through the views
-in ``graphs``.  The colouring certificate and the diameter read the same
-pass's peel levels and cycle distance parities; only ``graphs.distances_from``
-walks adjacency lists.  The tests pin the engine against list-walking
-references.
+public scalar functions here are one-row calls of the same code.
+
+The graph side has one home, the batch engine ``verify.analyze_batch``:
+edge count, degrees, components, clique number, perfection and the star
+and forest shapes are its ``BatchMetrics``, and ``analyze`` reports them
+for one (G, k) next to their criteria.  Only what a batch does not hold is
+computed per graph: the colouring certificate ``chromatic``, read off the
+component pass's peel levels and cycle distance parities, and in
+``graphs`` the component profiles, the diameter, BFS distances and the
+exports.  The tests pin the engine against list-walking references.
 
 ``analyze`` is a one-row view over the batch engine: its
 ``discrepancies`` are the counterexamples of the sweep's theorem checks on
@@ -30,9 +33,7 @@ from .graphs import (
     KPowerGraph,
     build_undirected,
     component_shape,
-    cycle_lengths,
     diameter,  # unused here; perfbench/tests pins this binding
-    has_cycle,
     normalize_exponent,
     shape_tag,
 )
@@ -209,19 +210,6 @@ def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     return (((k**3 - 1) % m == 0) & ((k - 1) % m != 0)).any(axis=1)
 
 
-def clique_number(gr: KPowerGraph, group: FiniteGroup, k: int) -> tuple[int, bool]:
-    """(omega, criterion): the graph-side clique number, never above 3,
-    and the order-census test for omega = 3."""
-    # The triangles of a functional graph are its directed 3-cycles.
-    if gr.edge_count == 0:
-        omega = 1
-    elif 3 in cycle_lengths(gr):
-        omega = 3
-    else:
-        omega = 2
-    return omega, bool(clique_criterion_rows(group, _one_row(k, group.order))[0])
-
-
 def chromatic(gr: KPowerGraph) -> tuple[int, np.ndarray]:
     """A proper colouring with the minimum number of colours (never above 3).
 
@@ -245,17 +233,6 @@ def chromatic(gr: KPowerGraph) -> tuple[int, np.ndarray]:
     return int(colors.max()), colors
 
 
-def is_perfect(gr: KPowerGraph) -> bool:
-    """True iff no component carries an odd cycle of length >= 5.
-
-    In a pseudoforest every cycle is chordless and induced subgraphs stay
-    pseudoforests, so odd holes of length >= 5 are the only possible
-    obstruction to perfection (longer odd antiholes would need more edges
-    than any pseudoforest subgraph can hold).
-    """
-    return all(length == 3 or length % 2 == 0 for length in cycle_lengths(gr))
-
-
 # -- characterizations ----------------------------------------------------------
 
 
@@ -275,20 +252,6 @@ def star_case_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     case = np.where(q8, STAR_CASE_Q8, STAR_CASE_NONE)
     case = np.where(z4, STAR_CASE_Z4, case)
     return np.where((kn[:, None] % orders == 0).all(axis=1), STAR_CASE_ALL_ORDERS, case)
-
-
-def is_star(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[bool, str]:
-    """(graph-side star test, criterion case).
-
-    The graph side checks for one centre adjacent to every other vertex and
-    no further edges (n >= 2); the case comes from ``star_case_rows``.  The
-    two must agree; ``analyze`` flags mismatches.
-    """
-    n = group.order
-    if gr is None:
-        gr = build_undirected(group, k)
-    graph_star = n >= 2 and gr.edge_count == n - 1 and int(gr.degrees.max()) == n - 1
-    return graph_star, str(star_case_rows(group, _one_row(k, n))[0])
 
 
 def empty_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
@@ -312,13 +275,6 @@ def forest_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     m = orders[orders > 1]
     k = kn[:, None]
     return ~((np.gcd(k, m) == 1) & ((k * k - 1) % m != 0)).any(axis=1)
-
-
-def is_forest(group: FiniteGroup, k: int, gr: KPowerGraph | None = None) -> tuple[bool, bool]:
-    """(graph-side acyclicity, criterion from ``forest_criterion_rows``)."""
-    if gr is None:
-        gr = build_undirected(group, k)
-    return not has_cycle(gr), bool(forest_criterion_rows(group, _one_row(k, group.order))[0])
 
 
 # -- cyclic specialisations ------------------------------------------------------
@@ -374,17 +330,6 @@ def component_count_cyclic(n: int, k: int) -> tuple[int, int, bool]:
             f"the primitive-root criterion ({criterion})"
         )
     return count, tau_n, criterion
-
-
-def adjacency_preserves_order(gr: KPowerGraph, group: FiniteGroup) -> bool | None:
-    """Whether every edge joins elements of equal order.
-
-    Only applicable when gcd(o(G), k) = 1; returns None otherwise.
-    """
-    if math.gcd(group.order, gr.k_normalized) != 1:
-        return None
-    orders = group.element_orders
-    return all(orders[u] == orders[v] for u, v in gr.edges())
 
 
 @dataclass
@@ -500,56 +445,6 @@ class AnalysisReport:
         if self.cyclic is not None:
             doc["cyclic"] = asdict(self.cyclic)
         return doc
-
-    CSV_FIELDS = (
-        "group,k,k_normalized,edges,edge_count_formula,edge_count_brute,degree_sequence,"
-        "components,component_count,component_shapes,is_connected,diameter,diameter_bound,"
-        "clique_number,clique_criterion_holds,chromatic_number,is_forest,forest_criterion_holds,"
-        "is_star,star_criterion_case,is_empty,is_perfect,pi_criterion_connected,tau,"
-        "primitive_root_all_divisors,thm16_structure,discrepancies"
-    )
-
-    def to_csv_row(self) -> str:
-        def cell(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "1" if value else "0"
-            return str(value)
-
-        shape_text = ";".join(f"{tag}:{count}" for tag, count in sorted(self.component_shapes.items()))
-        degree_text = " ".join(str(d) for d in self.degree_sequence)
-        cyc = self.cyclic
-        fields = [
-            self.group,
-            self.k,
-            self.k_normalized,
-            self.edges,
-            self.edge_count_formula,
-            self.edge_count_brute,
-            degree_text,
-            self.component_count,
-            self.component_count,
-            shape_text,
-            self.is_connected,
-            self.diameter,
-            self.diameter_bound,
-            self.clique_number,
-            self.clique_criterion_holds,
-            self.chromatic_number,
-            self.is_forest,
-            self.forest_criterion_holds,
-            self.is_star,
-            self.star_criterion_case,
-            self.is_empty,
-            self.is_perfect,
-            cyc.pi_criterion_connected if cyc else None,
-            cyc.tau if cyc else None,
-            cyc.primitive_root_all_divisors if cyc else None,
-            cyc.thm16_structure if cyc else None,
-            "|".join(self.discrepancies),
-        ]
-        return ",".join(cell(v) for v in fields)
 
 
 def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:

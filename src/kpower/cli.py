@@ -202,15 +202,10 @@ def cmd_sweep(args) -> int:
         return 2
     rows = []
     k_top = 0
-    for gspec in verify_mod.sweep_group_specs(spec):
-        group = build_group(gspec)
-        ks = verify_mod.exponents_for(group, spec.k_max)
-        if len(ks) == 0:
-            continue
-        batch = verify_mod.GroupBatch.build(group, ks)
+    for batch in verify_mod.sweep_batches(spec):
         values = _sweep_values(batch, args.param)
-        rows.append((str(gspec), {int(k): int(v) for k, v in zip(ks, values)}))
-        k_top = max(k_top, int(ks[-1]))
+        rows.append((str(batch.group.spec), {int(k): int(v) for k, v in zip(batch.ks, values)}))
+        k_top = max(k_top, int(batch.ks[-1]))
     lines = ["group," + ",".join(f"k={k}" for k in range(2, k_top + 1))]
     for name, values in rows:
         cells = [str(values.get(k, "")) for k in range(2, k_top + 1)]

@@ -327,16 +327,6 @@ def component_shape(vertex_count: int, edge_count: int, cycle_length: int) -> tu
     return (SHAPE_CYCLE if vertex_count == cycle_length else SHAPE_UNICYCLIC), cycle_length
 
 
-def has_cycle(gr: KPowerGraph) -> bool:
-    """True iff some component is a cycle or carries one."""
-    return bool((gr.component_pass.cycle_len >= 3).any())
-
-
-def cycle_lengths(gr: KPowerGraph) -> list[int]:
-    """Lengths of all component cycles, ascending (one per cyclic component)."""
-    return sorted(length for length in gr.component_pass.cycle_len.tolist() if length >= 3)
-
-
 def distances_from(gr: KPowerGraph, v: int) -> list[int | None]:
     """BFS distances from v; None marks unreachable vertices."""
     if not 0 <= v < gr.group_order:

@@ -27,14 +27,20 @@ hash, a sort or a stable argsort:
 Each whole-batch temporary is dropped once its last use is past, so a
 batch peaks at a few times the size of its successor matrix.
 
-Each theorem check then compares a closed form against these graph-side
-metrics and reports counterexamples.  The colouring and the diameters are
-certificates built per row from the same peel levels and cycle distance
-parities; no check builds an adjacency list.  The closed forms live in
-`analysis`, written once and vectorised over the exponents.
+`BatchMetrics` is the package's one graph side for these metrics and for
+the clique number, perfection and the star and forest shapes; nothing
+computes them again per graph.  Each theorem check compares a closed form
+against them and reports counterexamples.  The colouring and the diameters
+are certificates built per row from the same peel levels and cycle
+distance parities; no check builds an adjacency list.  The closed forms
+live in `analysis`, written once and vectorised over the exponents.
 `analysis.analyze` builds a one-row batch, runs every check but the
 whole-group ``thm16`` on it and reports their failures.  The test suite
 pins the engine against list-walking references and networkx.
+
+`sweep_batches` is the one loop from a `SweepSpec` to its batches, one
+per group in sweep order; `run_verification` and ``kpower sweep`` both
+iterate it.
 """
 
 from __future__ import annotations
@@ -84,7 +90,6 @@ class BatchMetrics:
     comp_count: np.ndarray  # (R,)
     connected: np.ndarray  # (R,) bool
     has_cycle: np.ndarray  # some component cycle of length >= 3
-    has_odd_cycle: np.ndarray  # odd length >= 3
     has_long_odd_cycle: np.ndarray  # odd length >= 5
     omega: np.ndarray  # clique number: 1 edgeless, 3 with a triangle, else 2
     all_shapes_basic: np.ndarray  # every component isolated/K2/cycle
@@ -166,7 +171,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         comp_count=comp_count,
         connected=connected,
         has_cycle=has_cycle,
-        has_odd_cycle=has_odd_cycle,
         has_long_odd_cycle=has_long_odd_cycle,
         omega=omega,
         all_shapes_basic=all_shapes_basic,
@@ -656,16 +660,20 @@ def corpus_specs():
     yield from sweep_group_specs(SweepSpec(("product",), 12, min_n=2))
 
 
+def sweep_batches(spec: SweepSpec):
+    """One `GroupBatch` per group of the sweep that has exponents, in sweep order."""
+    for gspec in sweep_group_specs(spec):
+        group = build_group(gspec)
+        ks = exponents_for(group, spec.k_max)
+        if len(ks):
+            yield GroupBatch.build(group, ks)
+
+
 def run_verification(spec: SweepSpec) -> list[TheoremCheck]:
     """Run the selected theorem checks over the sweep, merging per-group results."""
     results = {name: TheoremCheck(name) for name in spec.theorems}
     batch_names = [name for name in spec.theorems if name in _BATCH_CHECKS]
-    for gspec in sweep_group_specs(spec):
-        group = build_group(gspec)
-        ks = exponents_for(group, spec.k_max)
-        if len(ks) == 0:
-            continue
-        batch = GroupBatch.build(group, ks)
+    for batch in sweep_batches(spec):
         for name in batch_names:
             results[name].merge(_BATCH_CHECKS[name](batch))
     if "chair" in spec.theorems:

@@ -21,7 +21,7 @@ import pytest
 import kpower.verify as V
 from conftest import edge_counts_only, perm_index
 from kpower import analysis
-from kpower.analysis import is_star, theorem16_structure
+from kpower.analysis import analyze, theorem16_structure
 from kpower.graphs import build_undirected, components
 from kpower.groups import build_group
 
@@ -135,9 +135,10 @@ def test_criterion_02_pentagon_decomposition():
         tags = sorted(p.shape_tag for p in components(gr))
         assert tags == ["cycle(5)"] * 6 + ["isolated"]
         chi, _ = analysis.chromatic(gr)
-        omega, criterion = analysis.clique_number(gr, Z31, 2)
-        assert (chi, omega, criterion) == (3, 2, False)
-        assert not analysis.is_perfect(gr)
+        m = V.analyze_batch(gr.successor[None])
+        criterion = analysis.clique_criterion_rows(Z31, np.array([2]))
+        assert (chi, int(m.omega[0]), bool(criterion[0])) == (3, 2, False)
+        assert m.has_long_odd_cycle[0]  # imperfect
 
     check()
     best = _timed_best(check)
@@ -232,9 +233,9 @@ def test_criterion_07_characterizations(corpus):
     named = [corpus.checks[name] for name in ("star", "empty", "forest", "shapes")]
     failures = [f for check in named for f in check.failures]
     # the paper's exceptional star cases, asserted explicitly
-    assert is_star(Q8, 2) == (True, "q8_k2_or_6")
-    assert is_star(Q8, 6) == (True, "q8_k2_or_6")
-    assert is_star(Z4, 2) == (True, "z4_k2")
+    for group, k, case in ((Q8, 2, "q8_k2_or_6"), (Q8, 6, "q8_k2_or_6"), (Z4, 2, "z4_k2")):
+        report = analyze(group, k)
+        assert (report.is_star, report.star_criterion_case) == (True, case)
     cells = ", ".join(f"{c.name} {c.cells}" for c in named)
     _report(
         "criterion 7 (star/empty/forest/shapes)",

@@ -6,36 +6,46 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import brute_degrees, pairwise_edges
+from conftest import POWER_MAP_SPECS, brute_degrees, pairwise_edges
 from kpower import analysis, numth
 from kpower.analysis import (
     CyclicExtras,
     TheoremViolation,
-    adjacency_preserves_order,
     analyze,
     chromatic,
-    clique_number,
+    clique_criterion_rows,
     component_count_cyclic,
     degree_cyclic,
     edge_count_formula,
+    forest_criterion_rows,
     is_connected_criterion,
     is_connected_cyclic_pi,
     is_empty_graph,
-    is_forest,
-    is_perfect,
-    is_star,
     min_covering_exponent,
     primitive_root_rows,
     shapes_basic_rows,
+    star_case_rows,
     theorem16_structure,
 )
 from kpower.graphs import build_undirected, components, diameter
-from kpower.groups import build_group
+from kpower.groups import build_group, successor_rows
+from kpower.verify import GroupBatch, check_order_adjacency, exponents_for
 
 S3 = build_group("sym:3")
 Z4 = build_group("cyclic:4")
 Z31 = build_group("cyclic:31")
 Q8 = build_group("quaternion:2")
+
+
+def every_k(g) -> GroupBatch:
+    """The batch of every distinct graph of g: k in 2..o(G)+1."""
+    return GroupBatch.build(g, exponents_for(g, None))
+
+
+def nx_graph(gr) -> nx.Graph:
+    h = nx.Graph(gr.edges())
+    h.add_nodes_from(range(gr.group_order))
+    return h
 
 
 class TestEdgeCountFormula:
@@ -124,30 +134,33 @@ class TestConnectivity:
 
 
 class TestClique:
+    @staticmethod
+    def clique(g, k) -> tuple[int, bool]:
+        report = analyze(g, k)
+        return report.clique_number, report.clique_criterion_holds
+
     def test_z7_k2_triangle(self):
-        g = build_group("cyclic:7")
-        assert clique_number(build_undirected(g, 2), g, 2) == (3, True)
+        assert self.clique(build_group("cyclic:7"), 2) == (3, True)
 
     def test_s3_k2_no_triangle(self):
-        assert clique_number(build_undirected(S3, 2), S3, 2) == (2, False)
+        assert self.clique(S3, 2) == (2, False)
 
     def test_empty_graph_omega_one(self):
-        g = build_group("cyclic:6")
-        assert clique_number(build_undirected(g, 7), g, 7) == (1, False)
+        assert self.clique(build_group("cyclic:6"), 7) == (1, False)
 
     def test_criterion_iff_triangle_small_corpus(self):
         for spec in ("cyclic:63", "sym:4", "dihedral:12", "product:3x7"):
             g = build_group(spec)
-            for k in range(2, g.order + 2):
-                gr = build_undirected(g, k)
-                omega, criterion = clique_number(gr, g, k)
-                assert omega <= 3
-                assert (omega == 3) == criterion, (spec, k)
-                # cross-check omega against networkx's clique finder
-                if g.order <= 64:
-                    h = nx.Graph(gr.edges())
-                    h.add_nodes_from(range(g.order))
-                    assert omega == max(len(c) for c in nx.find_cliques(h)), (spec, k)
+            batch = every_k(g)
+            omega = batch.metrics.omega
+            criterion = clique_criterion_rows(g, batch.kn)
+            assert omega.max() <= 3
+            assert np.array_equal(omega == 3, criterion), spec
+            # cross-check omega against networkx's clique finder
+            if g.order <= 64:
+                for r in range(len(batch.ks)):
+                    h = nx_graph(batch.graph_for_row(r))
+                    assert omega[r] == max(len(c) for c in nx.find_cliques(h)), (spec, r)
 
 
 class TestChromatic:
@@ -205,49 +218,56 @@ def perfect_oracle(gr) -> bool:
 
 class TestPerfect:
     def test_z31_k2_imperfect(self):
-        assert not is_perfect(build_undirected(Z31, 2))
+        assert not analyze(Z31, 2).is_perfect
 
     def test_z4_k2_perfect(self):
-        assert is_perfect(build_undirected(Z4, 2))
+        assert analyze(Z4, 2).is_perfect
 
     def test_z7_k2_perfect_triangles(self):
-        g = build_group("cyclic:7")
-        assert is_perfect(build_undirected(g, 2))
+        assert analyze(build_group("cyclic:7"), 2).is_perfect
 
     def test_matches_oracle_cyclic_to_64(self):
         for n in range(1, 65):
-            g = build_group(f"cyclic:{n}")
-            for k in range(2, n + 2):
-                gr = build_undirected(g, k)
-                assert is_perfect(gr) == perfect_oracle(gr), (n, k)
+            batch = every_k(build_group(f"cyclic:{n}"))
+            perfect = ~batch.metrics.has_long_odd_cycle
+            for r in range(len(batch.ks)):
+                assert perfect[r] == perfect_oracle(batch.graph_for_row(r)), (n, r)
 
 
 class TestStar:
+    @staticmethod
+    def star(g, k) -> tuple[bool, str]:
+        report = analyze(g, k)
+        return report.is_star, report.star_criterion_case
+
     def test_z4_k2(self):
-        assert is_star(Z4, 2) == (True, "z4_k2")
+        assert self.star(Z4, 2) == (True, "z4_k2")
 
     def test_q8_k2_and_k6(self):
-        assert is_star(Q8, 2) == (True, "q8_k2_or_6")
-        assert is_star(Q8, 6) == (True, "q8_k2_or_6")
+        assert self.star(Q8, 2) == (True, "q8_k2_or_6")
+        assert self.star(Q8, 6) == (True, "q8_k2_or_6")
 
     def test_s3_k2_not_star(self):
-        assert is_star(S3, 2) == (False, "not_star")
+        assert self.star(S3, 2) == (False, "not_star")
 
     def test_exponent_annihilates_everything(self):
-        assert is_star(S3, 6) == (True, "all_orders_divide_k")
-        g = build_group("cyclic:5")
-        assert is_star(g, 5) == (True, "all_orders_divide_k")
+        assert self.star(S3, 6) == (True, "all_orders_divide_k")
+        assert self.star(build_group("cyclic:5"), 5) == (True, "all_orders_divide_k")
 
     def test_single_vertex_is_not_a_star(self):
-        g = build_group("cyclic:1")
-        assert is_star(g, 2) == (False, "not_star")
+        assert self.star(build_group("cyclic:1"), 2) == (False, "not_star")
 
     def test_graph_test_iff_case_small_corpus(self):
         for spec in ("cyclic:4", "cyclic:16", "sym:3", "dihedral:4", "quaternion:2", "quaternion:4", "product:2x2"):
             g = build_group(spec)
-            for k in range(2, g.order + 2):
-                star, case = is_star(g, k)
-                assert star == (case != "not_star"), (spec, k, case)
+            batch = every_k(g)
+            case = star_case_rows(g, batch.kn)
+            assert np.array_equal(batch.metrics.star_shape, case != "not_star"), spec
+            # a star: one vertex adjacent to all n - 1 others, and no other edge
+            for r in range(len(batch.ks)):
+                h = nx_graph(batch.graph_for_row(r))
+                star = g.order >= 2 and h.number_of_edges() == g.order - 1 == max(d for _, d in h.degree())
+                assert batch.metrics.star_shape[r] == star, (spec, r)
 
 
 class TestEmpty:
@@ -271,21 +291,28 @@ class TestEmpty:
 
 
 class TestForest:
+    @staticmethod
+    def forest(g, k) -> tuple[bool, bool]:
+        report = analyze(g, k)
+        return report.is_forest, report.forest_criterion_holds
+
     def test_z31_k2_cycles(self):
-        assert is_forest(Z31, 2, build_undirected(Z31, 2)) == (False, False)
+        assert self.forest(Z31, 2) == (False, False)
 
     def test_z4_k2_tree(self):
-        assert is_forest(Z4, 2, build_undirected(Z4, 2)) == (True, True)
+        assert self.forest(Z4, 2) == (True, True)
 
     def test_s3_k2_forest(self):
-        assert is_forest(S3, 2, build_undirected(S3, 2)) == (True, True)
+        assert self.forest(S3, 2) == (True, True)
 
     def test_iff_on_small_corpus(self):
         for spec in ("cyclic:60", "sym:4", "dihedral:15", "quaternion:6"):
             g = build_group(spec)
-            for k in range(2, g.order + 2):
-                acyclic, criterion = is_forest(g, k)
-                assert acyclic == criterion, (spec, k)
+            batch = every_k(g)
+            acyclic = ~batch.metrics.has_cycle
+            assert np.array_equal(acyclic, forest_criterion_rows(g, batch.kn)), spec
+            for r in range(len(batch.ks)):
+                assert acyclic[r] == nx.is_forest(nx_graph(batch.graph_for_row(r))), (spec, r)
 
 
 class TestComponentCountCyclic:
@@ -321,23 +348,59 @@ class TestComponentCountCyclic:
 
 
 class TestOrderHomogeneity:
+    @staticmethod
+    def order_check(g, k):
+        return check_order_adjacency(GroupBatch.build(g, np.array([k], dtype=np.int64)))
+
     def test_z31_k2(self):
-        assert adjacency_preserves_order(build_undirected(Z31, 2), Z31) is True
+        check = self.order_check(Z31, 2)
+        assert (check.cells, check.passed) == (1, True)
 
     def test_z7_k3(self):
-        g = build_group("cyclic:7")
-        assert adjacency_preserves_order(build_undirected(g, 3), g) is True
+        check = self.order_check(build_group("cyclic:7"), 3)
+        assert (check.cells, check.passed) == (1, True)
 
     def test_not_applicable_when_not_coprime(self):
-        assert adjacency_preserves_order(build_undirected(Z4, 2), Z4) is None
+        assert self.order_check(Z4, 2).cells == 0
 
     def test_holds_for_general_groups_too(self):
+        # the check covers cyclic groups only; every arc x -> x^k of a
+        # coprime row keeps o(x), so every edge joins equal orders
         for spec in ("sym:4", "dihedral:7", "quaternion:3"):
             g = build_group(spec)
-            for k in range(2, g.order + 2):
-                gr = build_undirected(g, k)
-                verdict = adjacency_preserves_order(gr, g)
-                assert verdict in (True, None)
+            batch = every_k(g)
+            orders = np.array(g.element_orders)
+            coprime = np.gcd(batch.kn, g.order) == 1
+            assert coprime.any()
+            assert (orders[batch.S[coprime]] == orders).all(), spec
+
+
+class TestExponentPeriod:
+    """x^k depends on k only modulo o(x), so P(G, k) depends on k only
+    modulo the exponent exp(G), the lcm of the element orders."""
+
+    SPECS = POWER_MAP_SPECS + ("sym:4", "quaternion:3", "product:3x4x6")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_rows_equal_iff_exponents_congruent(self, spec):
+        g = build_group(spec)
+        exp = math.lcm(*g.element_orders)
+        ks = np.arange(2, 3 * g.order + 5, dtype=np.int64)
+        S = successor_rows(g, ks)
+        same_row = (S[:, None, :] == S[None, :, :]).all(axis=2)
+        assert np.array_equal(same_row, ks[:, None] % exp == ks[None, :] % exp)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_reports_repeat_after_one_exponent(self, spec):
+        # k_normalized is k mod o(G), which moves when exp(G) < o(G)
+        g = build_group(spec)
+        exp = math.lcm(*g.element_orders)
+        for k in range(2, g.order + 2):
+            report, shifted = analyze(g, k).to_json_dict(), analyze(g, k + exp).to_json_dict()
+            assert shifted.pop("k") == k + exp
+            assert (shifted.pop("k_normalized") - report.pop("k_normalized")) % exp == 0
+            del report["k"]
+            assert shifted == report, (spec, k)
 
 
 class TestHalfExponentStructures:
@@ -471,8 +534,3 @@ class TestAnalyze:
         assert keys[:6] == ["group", "k", "k_normalized", "edges", "edge_count_formula", "edge_count_brute"]
         assert keys[-1] == "discrepancies"
         json.dumps(doc)
-
-    def test_csv_row_matches_header_width(self):
-        header = len(analyze(S3, 2).CSV_FIELDS.split(","))
-        for report in (analyze(S3, 2), analyze(Z31, 2), analyze(Z4, 4)):
-            assert len(report.to_csv_row().split(",")) == header

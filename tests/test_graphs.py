@@ -19,21 +19,19 @@ from conftest import (
     successor_matrices,
 )
 from kpower import graphs
-from kpower.analysis import analyze, chromatic, clique_number, is_perfect
+from kpower.analysis import analyze, chromatic
 from kpower.graphs import (
     build_undirected,
     components,
-    cycle_lengths,
     diameter,
     distances_from,
-    has_cycle,
     kept_arcs,
     to_dot,
     to_json_dict,
     undirected_from_successor,
 )
 from kpower.groups import build_group
-from kpower.verify import GroupBatch, SweepSpec, run_verification
+from kpower.verify import GroupBatch, SweepSpec, analyze_batch, run_verification
 
 # S_3 elements under lexicographic enumeration, by their usual names:
 # the identity, the two 3-cycles, and the three transpositions.
@@ -182,19 +180,22 @@ class TestComponents:
 
 
 class TestCycles:
+    @staticmethod
+    def cycle_lengths(gr) -> list[int]:
+        return sorted(p.cycle_length for p in components(gr) if p.cycle_length is not None)
+
     def test_z31_k2_cycle_lengths(self):
         gr = build_undirected(build_group("cyclic:31"), 2)
-        assert cycle_lengths(gr) == [5, 5, 5, 5, 5, 5]
-        assert has_cycle(gr)
+        assert self.cycle_lengths(gr) == [5, 5, 5, 5, 5, 5]
 
     def test_trees_have_no_cycles(self):
-        assert not has_cycle(build_undirected(build_group("cyclic:4"), 2))
-        assert not has_cycle(build_undirected(S3, 2))
+        assert self.cycle_lengths(build_undirected(build_group("cyclic:4"), 2)) == []
+        assert self.cycle_lengths(build_undirected(S3, 2)) == []
 
     def test_directed_orbit_matches_cycle_length(self):
         # the cycle through x has length ord_{o(x)}(k) when coprime
         gr = build_undirected(build_group("cyclic:7"), 2)
-        assert cycle_lengths(gr) == [3, 3]  # ord_7(2) = 3
+        assert self.cycle_lengths(gr) == [3, 3]  # ord_7(2) = 3
 
 
 class TestDistancesAndDiameter:
@@ -294,22 +295,21 @@ class TestAgainstSetReference:
 
 
 class TestComponentViewsAgainstListReference:
-    """The component queries, views over the engine's component pass, against
-    BFS and leaf stripping on the adjacency lists."""
+    """The component queries, views over the engine's component pass, and the
+    engine's cycle metrics on the same row, against BFS, leaf stripping and
+    a triangle search on the adjacency lists."""
 
-    # clique_number's graph side reads only the graph; the group supplies the criterion
-    TRIVIAL = build_group("cyclic:1")
-
-    def assert_matches(self, gr):
+    @staticmethod
+    def assert_matches(gr):
         reference = list_components(gr)
         profiles = components(gr)
         assert profiles == reference
         assert all(type(x) is int for p in profiles for x in (p.vertex_count, p.edge_count, *p.vertices))
-        cycles = sorted(p.cycle_length for p in reference if p.cycle_length is not None)
-        assert cycle_lengths(gr) == cycles
-        assert has_cycle(gr) == bool(cycles)
-        assert is_perfect(gr) == all(c == 3 or c % 2 == 0 for c in cycles)
-        assert clique_number(gr, self.TRIVIAL, 2)[0] == list_clique_number(gr)
+        cycles = [p.cycle_length for p in reference if p.cycle_length is not None]
+        m = analyze_batch(gr.successor[None])
+        assert bool(m.has_cycle[0]) == bool(cycles)
+        assert bool(m.has_long_odd_cycle[0]) == any(c >= 5 and c % 2 for c in cycles)
+        assert int(m.omega[0]) == list_clique_number(gr)
 
     @settings(max_examples=300, deadline=None)
     @given(successor_matrices())

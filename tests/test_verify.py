@@ -17,7 +17,7 @@ from conftest import (
     successor_matrices,
     unique_tables,
 )
-from kpower.analysis import chromatic, clique_number, is_forest, is_perfect, is_star
+from kpower.analysis import chromatic
 from kpower.graphs import build_undirected
 from kpower.groups import build_group
 
@@ -66,13 +66,13 @@ class TestBatchAgainstLibrary:
             assert m.degrees[r].tolist() == [gr.degree(v) for v in range(g.order)]
             assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
             assert bool(m.connected[r]) == (len(profiles) == 1)
-            omega, _ = clique_number(gr, g, k)
-            assert int(m.omega[r]) == omega == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
+            assert int(m.omega[r]) == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
             assert int(m.chi[r]) == chromatic(gr)[0] == list_chromatic(gr)[0]
-            assert bool(~m.has_cycle[r]) == is_forest(g, k, gr)[0] == nx.is_forest(h)
-            assert bool(m.star_shape[r]) == is_star(g, k, gr)[0]
+            assert bool(~m.has_cycle[r]) == nx.is_forest(h)
+            star = g.order >= 2 and h.number_of_edges() == g.order - 1 == max(d for _, d in h.degree())
+            assert bool(m.star_shape[r]) == star
             long_odd = any(p.cycle_length and p.cycle_length % 2 and p.cycle_length >= 5 for p in profiles)
-            assert bool(~m.has_long_odd_cycle[r]) == is_perfect(gr) == (not long_odd)
+            assert bool(~m.has_long_odd_cycle[r]) == (not long_odd)
 
     def test_component_tables(self, batch):
         g = batch.group
@@ -297,6 +297,15 @@ class TestSweepPlumbing:
         group = build_group("cyclic:50")
         assert V.exponents_for(group, 10).tolist() == list(range(2, 11))
         assert V.exponents_for(group, None).tolist() == list(range(2, 52))
+
+    def test_sweep_batches_follow_the_group_specs(self):
+        spec = V.SweepSpec(("cyclic", "quaternion"), 5, k_max=4)
+        batches = list(V.sweep_batches(spec))
+        assert [b.group.spec for b in batches] == list(V.sweep_group_specs(spec))
+        for b in batches:
+            assert b.ks.tolist() == V.exponents_for(b.group, 4).tolist()
+        # a group without exponents yields no batch
+        assert list(V.sweep_batches(V.SweepSpec(("cyclic",), 5, k_max=1))) == []
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
