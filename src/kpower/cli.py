@@ -12,8 +12,9 @@ object; each value is checked as argparse checks the flag (type, choices,
 true/false for switches, a list for repeatable flags).
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error, including a bad config value.  Output is deterministic; ``analyze``
-adds a timestamp field unless --no-meta is given.
+error, including a bad config value and an ``--out`` path that cannot be
+written.  Output is deterministic; ``analyze`` adds a timestamp field
+unless --no-meta is given.
 """
 
 from __future__ import annotations
@@ -24,25 +25,25 @@ import json
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import verify as verify_mod
 from .analysis import analyze
 from .chair import render_trace, solve_chairs
 from .graphs import build_undirected, to_dot, to_json_dict
 from .groups import FAMILIES, MAX_ORDER, build_group, parse_group_spec
 
-_PARAM_CHOICES = (
-    "edges",
-    "components",
-    "chromatic",
-    "clique",
-    "connected",
-    "forest",
-    "star",
-    "empty",
-    "perfect",
-)
+# ``sweep --param`` choices, in CSV fixture order, each with its reader of
+# `verify.BatchMetrics` (one value per exponent; bools print as 0 and 1).
+_SWEEP_PARAMS = {
+    "edges": lambda m: m.edge_count,
+    "components": lambda m: m.comp_count,
+    "chromatic": lambda m: m.chi,
+    "clique": lambda m: m.omega,
+    "connected": lambda m: m.connected,
+    "forest": lambda m: ~m.has_cycle,
+    "star": lambda m: m.star_shape,
+    "empty": lambda m: m.edge_count == 0,
+    "perfect": lambda m: ~m.has_long_odd_cycle,
+}
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -53,7 +54,7 @@ def _write_output(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise SystemExit(f"error: cannot write {out}: {exc}") from exc
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_text(doc: dict) -> str:
@@ -98,15 +99,16 @@ def _text_report(doc: dict, prefix: str = "") -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args) -> int:
-    try:
-        group = build_group(parse_group_spec(args.group))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _checked_group(args):
+    """The group of ``--group``, once ``--k`` is checked too; both raise ValueError."""
+    group = build_group(parse_group_spec(args.group))
     if args.k < 2:
-        print("error: k must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("k must be at least 2")
+    return group
+
+
+def cmd_analyze(args) -> int:
+    group = _checked_group(args)
     report = analyze(group, args.k)
     doc = report.to_json_dict()
     if not args.no_meta:
@@ -119,14 +121,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        group = build_group(parse_group_spec(args.group))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.k < 2:
-        print("error: k must be at least 2", file=sys.stderr)
-        return 2
+    group = _checked_group(args)
     gr = build_undirected(group, args.k)
     if args.format == "dot":
         _write_output(to_dot(group, gr), args.out)
@@ -135,20 +130,15 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _sweep_spec(args, **fields) -> verify_mod.SweepSpec:
+    return verify_mod.SweepSpec(
+        families=tuple(args.family), max_n=args.max_n, min_n=args.min_n, k_max=args.k_max, **fields
+    )
+
+
 def cmd_verify(args) -> int:
     theorems = tuple(args.theorem) if args.theorem else verify_mod.THEOREMS
-    try:
-        spec = verify_mod.SweepSpec(
-            families=tuple(args.family),
-            max_n=args.max_n,
-            min_n=args.min_n,
-            k_max=args.k_max,
-            theorems=theorems,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    checks = verify_mod.run_verification(spec)
+    checks = verify_mod.run_verification(_sweep_spec(args, theorems=theorems))
     failed = False
     for check in checks:
         if check.passed:
@@ -163,11 +153,9 @@ def cmd_verify(args) -> int:
 
 def cmd_chair(args) -> int:
     if args.n < 1:
-        print("error: n must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("n must be at least 1")
     if args.n > MAX_ORDER:
-        print(f"error: n {args.n} exceeds the supported ceiling {MAX_ORDER}", file=sys.stderr)
-        return 2
+        raise ValueError(f"n {args.n} exceeds the supported ceiling {MAX_ORDER}")
     solution = solve_chairs(args.n)
     doc = {
         "n": solution.n,
@@ -190,20 +178,11 @@ def cmd_chair(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = verify_mod.SweepSpec(
-            families=tuple(args.family),
-            max_n=args.max_n,
-            min_n=args.min_n,
-            k_max=args.k_max,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _sweep_spec(args)
     rows = []
     k_top = 0
     for batch in verify_mod.sweep_batches(spec):
-        values = _sweep_values(batch, args.param)
+        values = _SWEEP_PARAMS[args.param](batch.metrics)
         rows.append((str(batch.group.spec), {int(k): int(v) for k, v in zip(batch.ks, values)}))
         k_top = max(k_top, int(batch.ks[-1]))
     lines = ["group," + ",".join(f"k={k}" for k in range(2, k_top + 1))]
@@ -212,29 +191,6 @@ def cmd_sweep(args) -> int:
         lines.append(name + "," + ",".join(cells))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _sweep_values(batch, param: str) -> np.ndarray:
-    m = batch.metrics
-    if param == "edges":
-        return m.edge_count
-    if param == "components":
-        return m.comp_count
-    if param == "chromatic":
-        return m.chi
-    if param == "clique":
-        return m.omega
-    if param == "connected":
-        return m.connected.astype(np.int64)
-    if param == "forest":
-        return (~m.has_cycle).astype(np.int64)
-    if param == "star":
-        return m.star_shape.astype(np.int64)
-    if param == "empty":
-        return (m.edge_count == 0).astype(np.int64)
-    if param == "perfect":
-        return (~m.has_long_odd_cycle).astype(np.int64)
-    raise ValueError(f"unknown sweep parameter {param!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,6 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file of defaults for the chosen subcommand (flags win)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags that pick a sweep's groups and exponents, shared by verify and sweep.
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument("--family", action="append", required=True, choices=FAMILIES)
+    sweep_flags.add_argument("--max-n", type=int, required=True, help="family parameter cap")
+    sweep_flags.add_argument("--min-n", type=int, default=1)
+    sweep_flags.add_argument("--k-max", type=int, default=None,
+                             help="cap on k (default: all k in 2..o(G)+1)")
 
     p_analyze = sub.add_parser("analyze", help="full report for one (group, k)")
     p_analyze.add_argument("--group", required=True, help="e.g. cyclic:31, sym:3, dihedral:5, quaternion:2, product:2x3x4")
@@ -263,13 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", "-o", default=None)
     p_export.set_defaults(func=cmd_export)
 
-    p_verify = sub.add_parser("verify", help="sweep theorem checks over families")
-    p_verify.add_argument("--family", action="append", required=True,
-                          choices=FAMILIES)
-    p_verify.add_argument("--max-n", type=int, required=True, help="family parameter cap")
-    p_verify.add_argument("--min-n", type=int, default=1)
-    p_verify.add_argument("--k-max", type=int, default=None,
-                          help="cap on k (default: all k in 2..o(G)+1)")
+    p_verify = sub.add_parser("verify", parents=[sweep_flags], help="sweep theorem checks over families")
     p_verify.add_argument("--theorem", action="append", choices=verify_mod.THEOREMS,
                           help="repeatable; default runs the whole catalog")
     p_verify.set_defaults(func=cmd_verify)
@@ -281,14 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chair.add_argument("--out", "-o", default=None)
     p_chair.set_defaults(func=cmd_chair)
 
-    p_sweep = sub.add_parser("sweep", help="CSV matrix of one parameter across k")
-    p_sweep.add_argument("--family", action="append", required=True,
-                         choices=FAMILIES)
-    p_sweep.add_argument("--max-n", type=int, required=True)
-    p_sweep.add_argument("--min-n", type=int, default=1)
-    p_sweep.add_argument("--k-max", type=int, default=None,
-                         help="cap on k (default: all k in 2..o(G)+1)")
-    p_sweep.add_argument("--param", choices=_PARAM_CHOICES, default="edges")
+    p_sweep = sub.add_parser("sweep", parents=[sweep_flags], help="CSV matrix of one parameter across k")
+    p_sweep.add_argument("--param", choices=_SWEEP_PARAMS, default="edges")
     p_sweep.add_argument("--out", "-o", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -366,8 +317,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

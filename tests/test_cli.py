@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kpower.verify as V
 from kpower.analysis import analyze
-from kpower.cli import _json_text, main
+from kpower.cli import _json_text, build_parser, main
 from kpower.graphs import build_undirected, to_json_dict
 from kpower.groups import MAX_ORDER, build_group
 
@@ -102,8 +102,11 @@ class TestExport:
         assert target.read_text().startswith('graph "cyclic:4 k=2"')
 
     def test_unwritable_path(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["export", "--group", "cyclic:4", "--k", "2", "-o", "/nonexistent/x/y.dot"])
+        path = "/nonexistent/x/y.dot"
+        code, out, err = run(capsys, "export", "--group", "cyclic:4", "--k", "2", "-o", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 class TestVerify:
@@ -202,6 +205,110 @@ class TestSweep:
         assert out.startswith("group,")
 
 
+
+UNWRITABLE = "missing-dir/out.txt"
+
+USAGE_ERRORS = [
+    (["analyze", "--group", "bogus:3", "--k", "2"],
+     "unknown group family 'bogus' (expected one of cyclic, sym, dihedral, quaternion, product)"),
+    (["analyze", "--group", "cyclic:4", "--k", "1"], "k must be at least 2"),
+    (["export", "--group", "bogus:3", "--k", "2"],
+     "unknown group family 'bogus' (expected one of cyclic, sym, dihedral, quaternion, product)"),
+    (["export", "--group", "cyclic:4", "--k", "1"], "k must be at least 2"),
+    (["chair", "--n", "0"], "n must be at least 1"),
+    (["chair", "--n", "65537"], "n 65537 exceeds the supported ceiling 65536"),
+    (["verify", "--family", "cyclic", "--max-n", "2", "--min-n", "3"], "empty parameter range"),
+    (["sweep", "--family", "cyclic", "--max-n", "2", "--min-n", "3"], "empty parameter range"),
+    (["analyze", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
+    (["export", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
+    (["chair", "--n", "4", "-o", UNWRITABLE], None),
+    (["sweep", "--family", "cyclic", "--max-n", "3", "-o", UNWRITABLE], None),
+]
+
+
+class TestUsageErrors:
+    """Every usage error exits 2 with exactly one ``error:`` line and no output."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, argv, message):
+        if message is None:
+            path = tmp_path / UNWRITABLE
+            argv = [str(path) if arg == UNWRITABLE else arg for arg in argv]
+            message = f"cannot write {path}: [Errno 2] No such file or directory: '{path}'"
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def _describe(action):
+    kind = action.type
+    return (
+        tuple(action.option_strings), action.dest, action.default, action.required,
+        None if action.choices is None else tuple(action.choices),
+        None if kind is None else kind.__name__, type(action).__name__,
+    )
+
+
+_HELP = (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction")
+_FAMILY = (("--family",), "family", None, True, ("cyclic", "sym", "dihedral", "quaternion", "product"),
+           None, "_AppendAction")
+_RANGE = [
+    (("--max-n",), "max_n", None, True, None, "int", "_StoreAction"),
+    (("--min-n",), "min_n", 1, False, None, "int", "_StoreAction"),
+    (("--k-max",), "k_max", None, False, None, "int", "_StoreAction"),
+]
+_OUT = (("--out", "-o"), "out", None, False, None, None, "_StoreAction")
+
+PARSER_SNAPSHOT = {
+    "analyze": [
+        _HELP,
+        (("--group",), "group", None, True, None, None, "_StoreAction"),
+        (("--k",), "k", None, True, None, "int", "_StoreAction"),
+        (("--format",), "format", "json", False, ("json", "text"), None, "_StoreAction"),
+        (("--no-meta",), "no_meta", False, False, None, None, "_StoreTrueAction"),
+        _OUT,
+    ],
+    "export": [
+        _HELP,
+        (("--group",), "group", None, True, None, None, "_StoreAction"),
+        (("--k",), "k", None, True, None, "int", "_StoreAction"),
+        (("--format",), "format", "dot", False, ("dot", "json"), None, "_StoreAction"),
+        _OUT,
+    ],
+    "verify": [
+        _HELP,
+        _FAMILY,
+        *_RANGE,
+        (("--theorem",), "theorem", None, False,
+         ("edges", "degrees", "connectivity", "clique", "chromatic", "forest", "star", "empty",
+          "components", "shapes", "order-adjacency", "thm16", "perfect", "chair"),
+         None, "_AppendAction"),
+    ],
+    "chair": [
+        _HELP,
+        (("--n",), "n", None, True, None, "int", "_StoreAction"),
+        (("--trace",), "trace", False, False, None, None, "_StoreTrueAction"),
+        (("--format",), "format", "text", False, ("json", "text"), None, "_StoreAction"),
+        _OUT,
+    ],
+    "sweep": [
+        _HELP,
+        _FAMILY,
+        *_RANGE,
+        (("--param",), "param", "edges", False,
+         ("edges", "components", "chromatic", "clique", "connected", "forest", "star", "empty", "perfect"),
+         None, "_StoreAction"),
+        _OUT,
+    ],
+}
+
+
+class TestParser:
+    def test_every_subcommand_keeps_its_flags(self):
+        (sub,) = build_parser()._subparsers._group_actions
+        assert {name: [_describe(a) for a in p._actions] for name, p in sub.choices.items()} == PARSER_SNAPSHOT
+
 class TestConfig:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -229,6 +336,16 @@ class TestConfig:
         with pytest.raises(SystemExit) as info:
             main(["analyze", "--k", "2"])  # --group is required again
         assert info.value.code == 2
+
+    def test_shared_sweep_flags_do_not_carry_config_into_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": ["cyclic"], "max_n": 3, "theorem": ["edges"]}))
+        code, _, _ = run(capsys, "--config", str(cfg), "verify")
+        assert code == 0
+        for command in ("verify", "sweep"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--family", "cyclic"])  # --max-n is required again
+            assert info.value.code == 2
 
     @pytest.mark.parametrize("values, needle", [
         ({"k": "2"}, "'k' must be of type int"),

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from kpower.cli import _PARAM_CHOICES, main
+from kpower.cli import _SWEEP_PARAMS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -111,7 +111,7 @@ def _outputs():
         "verify.txt": lambda: _cli(["verify", *FAMILY_FLAGS, "--max-n", "5"]),
         "sweep-k-max.txt": lambda: _cli(["sweep", *FAMILY_FLAGS, "--max-n", "5", "--k-max", "9"]),
     }
-    for param in _PARAM_CHOICES:
+    for param in _SWEEP_PARAMS:
         outputs[f"sweep-{param}.txt"] = (
             lambda param=param: _cli(["sweep", *FAMILY_FLAGS, "--max-n", "5", "--param", param])
         )

@@ -321,6 +321,15 @@ class TestSweepPlumbing:
         assert all(c.passed for c in checks)
         assert checks[0].cells == sum(n for n in range(1, 31))
 
+    def test_chair_only_builds_no_batches(self, monkeypatch):
+        def no_batches(spec):
+            raise AssertionError("sweep_batches was called")
+
+        monkeypatch.setattr(V, "sweep_batches", no_batches)
+        checks = V.run_verification(V.SweepSpec(("cyclic", "dihedral"), 30, theorems=("chair",)))
+        assert [c.name for c in checks] == ["chair"]
+        assert checks[0].passed
+
 
 class TestChair:
     def test_chair_check_passes(self):
