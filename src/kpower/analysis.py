@@ -107,17 +107,20 @@ def cyclic_degree_rows(n: int, kn: np.ndarray, a: np.ndarray) -> np.ndarray:
       d  | a:  d-1 if o | k-1
                d   if o | k^2-1 but o !| k-1   (the out-edge is mutual)
                d+1 otherwise
+    Every case depends on a only through o (d | a iff o | n/d), so the
+    degrees are worked out once per exponent and distinct order and then
+    gathered; the output is the only array of its size that is made.
     """
-    o = n // np.gcd(n, a)
+    orders, column = np.unique(n // np.gcd(n, a), return_inverse=True)
     k = kn[:, None]
     d = np.gcd(k, n)
-    fixes = (k - 1) % o == 0
-    mutual = (k * k - 1) % o == 0
-    return np.where(
-        a % d != 0,
-        np.where(fixes, 0, 1),
-        np.where(fixes, d - 1, np.where(mutual, d, d + 1)),
-    )
+    fixes = (k - 1) % orders == 0
+    mutual = (k * k - 1) % orders == 0
+    divides = (n // d) % orders == 0
+    # fixes implies mutual, so the d | a cases are d + 1 - mutual - fixes
+    per_order = 1 - fixes.astype(np.int64)
+    np.add(per_order, d - mutual, out=per_order, where=divides)
+    return per_order[:, column]
 
 
 def degree_cyclic(n: int, k: int, a: int) -> int:

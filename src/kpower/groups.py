@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,6 +156,11 @@ class FiniteGroup:
                 census[o] = census.get(o, 0) + 1
             self._census = dict(sorted(census.items()))
         return dict(self._census)
+
+    @cached_property
+    def exponent(self) -> int:
+        """exp(G), the lcm of the element orders: x**k depends on k only mod exp(G)."""
+        return math.lcm(*self.order_census())
 
     def element_name(self, x: int) -> str:
         """Canonical display name for an element index."""

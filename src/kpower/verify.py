@@ -27,13 +27,26 @@ hash, a sort or a stable argsort:
 Each whole-batch temporary is dropped once its last use is past, so a
 batch peaks at a few times the size of its successor matrix.
 
+The graph side runs once per distinct graph.  x^k depends on k only modulo
+o(x), so P(G, k) = P(G, k') exactly when k = k' mod exp(G), the lcm of the
+element orders.  ``GroupBatch.build`` still builds every row, classes the
+rows by their exponent mod exp(G) and compares each with its class's first
+row; the ``period`` check fails any row that differs, and such a row is
+analysed as its own graph.  Only the representatives go through
+`analyze_batch` and the per-row certificates, whose results are read back
+through the class index, while every closed form is still evaluated on
+each row's own exponent.  So every cell is still proved, and a batch whose
+rows are all distinct (a cyclic sweep with k <= o(G)+1, a one-row
+``analyze``) copies nothing.
+
 `BatchMetrics` is the package's one graph side for these metrics and for
 the clique number, perfection and the star and forest shapes; nothing
 computes them again per graph.  Each theorem check compares a closed form
 against them and reports counterexamples.  The colouring and the diameters
-are certificates built per row from the same peel levels and cycle
-distance parities; no check builds an adjacency list.  The closed forms
-live in `analysis`, written once and vectorised over the exponents.
+are certificates built per representative row from the same peel levels
+and cycle distance parities; no check builds an adjacency list.  The
+closed forms live in `analysis`, written once and vectorised over the
+exponents.
 `analysis.analyze` builds a one-row batch, runs every check but the
 whole-group ``thm16`` on it and reports their failures.  The test suite
 pins the engine against list-walking references and networkx.
@@ -172,6 +185,59 @@ def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
     return np.bincount(rows, minlength=R) > 0
 
 
+# The per-row fields of `BatchMetrics`; the others but ``n`` are per component.
+_ROW_FIELDS = ("edge_count", "degrees", "fixed_count", "comp_count", "connected", "has_cycle",
+               "has_long_odd_cycle", "omega", "all_shapes_basic", "pseudoforest_ok",
+               "star_shape", "chi")
+
+
+def _spread(m: BatchMetrics, row_class: np.ndarray) -> BatchMetrics:
+    """The metrics of the batch whose row r is row ``row_class[r]`` of ``m``'s.
+
+    Per-row fields are read through the class index.  Each row repeats its
+    class's components in their order, with ``comp_least`` moved to the
+    row's own flat ids, so the result equals ``analyze_batch`` on the
+    spread batch.
+    """
+    n = m.n
+    counts = m.comp_count[row_class]
+    comp_row = np.repeat(np.arange(row_class.size, dtype=np.int64), counts)
+    # row r's j-th component is its class's j-th: shift each row's run of
+    # ids from where the run starts to where its class's components start
+    class_start = np.cumsum(m.comp_count) - m.comp_count
+    row_start = np.cumsum(counts) - counts
+    comp = np.arange(comp_row.size, dtype=np.int64)
+    comp += np.repeat(class_start[row_class] - row_start, counts)
+    return BatchMetrics(
+        n=n,
+        **{name: getattr(m, name)[row_class] for name in _ROW_FIELDS},
+        comp_row=comp_row,
+        comp_vertices=m.comp_vertices[comp],
+        comp_edges=m.comp_edges[comp],
+        comp_cycle_len=m.comp_cycle_len[comp],
+        comp_least=m.comp_least[comp] + (comp_row - m.comp_row[comp]) * n,
+    )
+
+
+# Successor entries compared at once when rows are checked against their class.
+_COMPARE_ENTRIES = 1 << 16
+
+
+def _rows_unlike(S: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The rows r of S that differ from row ``first[r]``, ascending.
+
+    Rows are compared a bounded chunk at a time, never as one copy of every
+    repeated row.
+    """
+    rows = np.flatnonzero(first != np.arange(first.size))
+    step = max(1, _COMPARE_ENTRIES // S.shape[1])
+    unlike = [rows[:0]]
+    for i in range(0, rows.size, step):
+        chunk = rows[i:i + step]
+        unlike.append(chunk[(S[chunk] != S[first[chunk]]).any(axis=1)])
+    return np.concatenate(unlike)
+
+
 def normalized_exponents(ks: np.ndarray, order: int) -> np.ndarray:
     kn = ks % order
     kn[kn == 0] = order
@@ -195,12 +261,39 @@ class GroupBatch:
     kn: np.ndarray
     S: np.ndarray
     metrics: BatchMetrics
+    # The row classes whose graph side ran once: ``rep[c]`` is class c's
+    # representative row and ``row_class[r]`` row r's class.  A batch built
+    # from its parts treats every row as its own class.
+    rep: np.ndarray | None = None
+    row_class: np.ndarray | None = None
+    # Rows whose successor row differs from the first row with the same
+    # exponent mod exp(G); each is its own class, and ``check_period`` fails it.
+    aperiodic: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __post_init__(self):
+        if self.rep is None:
+            self.rep = self.row_class = np.arange(len(self.ks))
 
     @classmethod
     def build(cls, group: FiniteGroup, ks: np.ndarray) -> "GroupBatch":
+        """Every row's successor row, with the graph side run once per distinct graph.
+
+        x**k depends on k only mod o(x), so rows whose exponents agree mod
+        exp(G) hold one graph.  Each row is compared with its class's first
+        row; only those representatives go through ``analyze_batch``, whose
+        metrics are then spread back to every row.
+        """
         kn = normalized_exponents(ks, group.order)
         S = successor_rows(group, ks)
-        return cls(group, ks, kn, S, analyze_batch(S))
+        _, rep, row_class = np.unique(ks % group.exponent, return_index=True, return_inverse=True)
+        aperiodic = _rows_unlike(S, rep[row_class])
+        if aperiodic.size:  # each breaks away into a class of its own
+            row_class[aperiodic] = rep.size + np.arange(aperiodic.size)
+            rep = np.concatenate([rep, aperiodic])
+        if rep.size == len(ks):
+            return cls(group, ks, kn, S, analyze_batch(S), aperiodic=aperiodic)
+        metrics = _spread(analyze_batch(S[rep]), row_class)
+        return cls(group, ks, kn, S, metrics, rep, row_class, aperiodic)
 
     @cached_property
     def connectivity(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +303,10 @@ class GroupBatch:
     @cached_property
     def diameters(self) -> np.ndarray:
         """Each connected row's diameter, from its graph's peel levels; -1 on disconnected rows."""
-        out = np.full(len(self.ks), -1, dtype=np.int64)
-        for r in np.flatnonzero(self.metrics.connected).tolist():
-            out[r] = diameter(self.graph_for_row(r))
-        return out
+        out = np.full(self.rep.size, -1, dtype=np.int64)
+        for c in np.flatnonzero(self.metrics.connected[self.rep]).tolist():
+            out[c] = diameter(self.graph_for_row(int(self.rep[c])))
+        return out[self.row_class]
 
     @cached_property
     def clique_criterion(self) -> np.ndarray:
@@ -375,34 +468,43 @@ def check_clique(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_chromatic(batch: GroupBatch) -> TheoremCheck:
-    """chi <= 3, and the colouring certificate is proper with exactly chi colours."""
+    """chi <= 3, and the colouring certificate is proper with exactly chi colours.
+
+    The certificate runs on each class representative; a class's result is
+    every row's in it.
+    """
     check = TheoremCheck("chromatic", cells=len(batch.ks))
     chi = batch.metrics.chi
     over = np.flatnonzero(chi > 3)
     _report_mismatches(check, batch, over, "<= 3", chi)
-    S = batch.S
-    R, n = S.shape
-    colors_mat = np.empty((R, n), dtype=np.int8)
-    for r in range(R):
-        got_chi, colors = analysis.chromatic(batch.graph_for_row(r))
-        if got_chi != int(chi[r]):
-            check.fail(batch.group, int(batch.ks[r]), int(chi[r]), got_chi)
-        colors_mat[r] = colors
+    rep, row_class = batch.rep, batch.row_class
+    # the representatives' rows: S itself when every row is its own class
+    S = batch.S if rep.size == len(batch.ks) else batch.S[rep]
+    U, n = S.shape
+    got_chi = np.empty(U, dtype=np.int64)
+    colors_mat = np.empty((U, n), dtype=np.int8)
+    for c, r in enumerate(rep.tolist()):
+        got_chi[c], colors_mat[c] = analysis.chromatic(batch.graph_for_row(r))
+    got_chi = got_chi[row_class]
+    _report_mismatches(check, batch, np.flatnonzero(got_chi != chi), chi, got_chi)
     # Proper: no edge, one kept arc each, joins two equal colours.  Every
-    # loop x -> x clashes, so only a row with more clashes than fixed points
-    # has a conflicting edge.
+    # loop x -> x clashes, so only a class with more clashes than fixed
+    # points has a conflicting edge.  Each row is listed once per such edge.
     clash = colors_mat == np.take_along_axis(colors_mat, S, axis=1)
-    rows = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count)
-    clash = clash[rows] & kept_arcs(S[rows])
-    rows = rows[np.nonzero(clash)[0]]
+    classes = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count[rep])
+    conflicts = np.count_nonzero(clash[classes] & kept_arcs(S[classes]), axis=1)
     del clash
+    per_class = np.zeros(U, dtype=np.int64)
+    per_class[classes] = conflicts
+    rows = np.repeat(np.arange(len(batch.ks)), per_class[row_class])
     _mark_rows(check, batch, rows)
     for r in rows[:MAX_COUNTEREXAMPLES].tolist():
         check.fail(batch.group, int(batch.ks[r]), "proper colouring", "conflict")
     # exactly chi colours: max equals chi and every colour below it occurs
     max_color = colors_mat.max(axis=1)
     occurs = np.stack([(colors_mat == c).any(axis=1) for c in (1, 2, 3)], axis=1)
-    full_range = occurs.cumprod(axis=1)[np.arange(R), max_color - 1] > 0
+    full_range = (occurs.cumprod(axis=1)[np.arange(U), max_color - 1] > 0)[row_class]
+    max_color = max_color[row_class]
     bad = np.flatnonzero((max_color != chi) | ~full_range)
     _report_mismatches(check, batch, bad, chi, max_color)
     return check
@@ -520,6 +622,25 @@ def check_perfect(batch: GroupBatch) -> TheoremCheck:
     return check
 
 
+def check_period(batch: GroupBatch) -> TheoremCheck:
+    """P(G, k) depends on k only mod exp(G): each row equals the first row of its residue.
+
+    ``GroupBatch.build`` compares every row with that first row and gives
+    each row that differs a class of its own, so no other check reads
+    another row's graph side for it; this check fails those rows.
+    """
+    check = TheoremCheck("period", cells=len(batch.ks))
+    residues = batch.ks % batch.group.exponent
+    _mark_rows(check, batch, batch.aperiodic)
+    for r in batch.aperiodic[:MAX_COUNTEREXAMPLES].tolist():
+        first = int(np.flatnonzero(residues == residues[r])[0])
+        x = int(np.flatnonzero(batch.S[r] != batch.S[first])[0])
+        check.fail(batch.group, int(batch.ks[r]),
+                   f"{x}^k = {int(batch.S[first, x])} as at k={int(batch.ks[first])}",
+                   int(batch.S[r, x]))
+    return check
+
+
 def check_chair(max_n: int) -> TheoremCheck:
     """Simulated minimal whistle count vs the coprimality closed form.
 
@@ -565,6 +686,7 @@ _BATCH_CHECKS = {
     "order-adjacency": check_order_adjacency,
     "thm16": check_thm16,
     "perfect": check_perfect,
+    "period": check_period,
 }
 
 # The catalogue: every batch check in registry order, then the chair riddle.

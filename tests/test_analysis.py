@@ -89,6 +89,28 @@ class TestDegreeCyclic:
                 for a in range(n):
                     assert degree_cyclic(n, k, a) == brute[a], (n, k, a)
 
+    def test_rows_match_case_by_case_reference(self):
+        # the four cases of the docstring, written as nested selections over
+        # whole R x n arrays
+        def reference(n, kn, a):
+            o = n // np.gcd(n, a)
+            k = kn[:, None]
+            d = np.gcd(k, n)
+            fixes = (k - 1) % o == 0
+            mutual = (k * k - 1) % o == 0
+            return np.where(
+                a % d != 0,
+                np.where(fixes, 0, 1),
+                np.where(fixes, d - 1, np.where(mutual, d, d + 1)),
+            )
+
+        for n in range(1, 513):
+            kn = np.arange(1, n + 1, dtype=np.int64)
+            a = np.arange(n, dtype=np.int64)
+            got = analysis.cyclic_degree_rows(n, kn, a)
+            expected = reference(n, kn, a)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), n
+
     def test_bounded_by_gcd_plus_one(self):
         for n in (12, 36, 60):
             for k in range(2, n + 2):

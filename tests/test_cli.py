@@ -126,7 +126,7 @@ class TestVerify:
     def test_full_catalog_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "25")
         assert code == 0
-        assert out.count("theorem ") == 14
+        assert out.count("theorem ") == 15
 
     def test_component_theorem(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "60",
@@ -282,7 +282,7 @@ PARSER_SNAPSHOT = {
         *_RANGE,
         (("--theorem",), "theorem", None, False,
          ("edges", "degrees", "connectivity", "clique", "chromatic", "forest", "star", "empty",
-          "components", "shapes", "order-adjacency", "thm16", "perfect", "chair"),
+          "components", "shapes", "order-adjacency", "thm16", "perfect", "period", "chair"),
          None, "_AppendAction"),
     ],
     "chair": [

@@ -182,6 +182,21 @@ class TestElementOrders:
     def test_z12_census_frozen(self):
         assert build_group("cyclic:12").order_census() == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
+    @pytest.mark.parametrize("spec", (
+        "cyclic:1", "cyclic:2", "cyclic:12", "dihedral:1", "dihedral:2", "dihedral:15",
+        "quaternion:2", "quaternion:3", *(f"sym:{m}" for m in range(1, 7)),
+        "product:2x4", "product:2x3x4", "product:6x8",
+    ))
+    def test_exponent_is_lcm_of_element_orders(self, spec):
+        g = build_group(spec)
+        assert type(g.exponent) is int
+        assert g.exponent == int(np.lcm.reduce(g.element_orders))
+
+    def test_exponent_below_order(self):
+        assert build_group("product:2x4").exponent == 4
+        assert build_group("sym:4").exponent == 12
+        assert build_group("quaternion:2").exponent == 4
+
 
 def orders_by_multiplication(g) -> list[int]:
     """Each element's order as the least t >= 1 with x^t = e, one product at a time."""

@@ -1,6 +1,7 @@
 """The batched engine against the per-instance library, plus sweep plumbing."""
 
 import tracemalloc
+from dataclasses import fields
 
 import networkx as nx
 import numpy as np
@@ -190,6 +191,114 @@ class TestMemory:
         assert self.traced_peak(V.analyze_batch, S) <= 6 * S.nbytes
         batch = V.GroupBatch.build(group, ks)
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
+        assert self.traced_peak(V.check_degrees, batch) <= 1.5 * S.nbytes
+
+
+# Every family, with orders 1 and 2 and a group whose exponent is below its order.
+DEDUP_SPECS = ("cyclic:1", "cyclic:2", "cyclic:12", "dihedral:1", "dihedral:2", "dihedral:6",
+               "quaternion:2", "quaternion:3", "sym:1", "sym:2", "sym:3", "sym:4",
+               "product:2x4", "product:2x3x4")
+
+
+def every_row_analysed(batch):
+    """The batch from the same rows with every row its own class."""
+    return V.GroupBatch(batch.group, batch.ks, batch.kn, batch.S, V.analyze_batch(batch.S))
+
+
+def assert_same_metrics(got, expected):
+    assert got.n == expected.n
+    for f in fields(V.BatchMetrics)[1:]:
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
+
+
+class TestDeduplicatedBatch:
+    """Analysing one row per class of k mod exp(G) changes nothing a check reads."""
+
+    @pytest.mark.parametrize("spec", DEDUP_SPECS)
+    def test_same_metrics_and_checks_as_every_row(self, spec):
+        # k in 2..3o(G)+4 holds k = 0 and 1 mod o(G) three times each
+        group = build_group(spec)
+        ks = np.append(np.arange(2, 3 * group.order + 5), 2**62 + 1)
+        batch = V.GroupBatch.build(group, ks)
+        reference = every_row_analysed(batch)
+        assert batch.rep.size == group.exponent
+        assert_same_metrics(batch.metrics, reference.metrics)
+        assert np.array_equal(batch.diameters, reference.diameters)
+        for name, fn in V._BATCH_CHECKS.items():
+            got, expected = fn(batch), fn(reference)
+            assert (got.cells, got.failed_cells, got.failures) == (
+                expected.cells, expected.failed_cells, expected.failures), name
+            assert got.passed, (name, got.failures[:2])
+
+    def test_distinct_rows_keep_the_batch_as_built(self):
+        group = build_group("cyclic:8")
+        batch = V.GroupBatch.build(group, np.arange(2, 10))
+        assert batch.rep.tolist() == batch.row_class.tolist() == list(range(8))
+
+    def test_chromatic_runs_once_per_class(self, monkeypatch):
+        calls = []
+        real = V.analysis.chromatic
+
+        def counted(gr):
+            calls.append(gr.k)
+            return real(gr)
+
+        monkeypatch.setattr(V.analysis, "chromatic", counted)
+        group = build_group("product:10x10x10")
+        batch = V.GroupBatch.build(group, V.exponents_for(group, None))
+        for name, fn in V._BATCH_CHECKS.items():
+            assert fn(batch).passed, name
+        assert sorted(calls) == list(range(2, 12))
+
+    def test_wrong_colour_on_a_representative_fails_its_class(self, monkeypatch):
+        # product:2x4 has exponent 4: k = 3 represents k = 3, 7, ..., 27
+        real = V.analysis.chromatic
+
+        def planted(gr):
+            chi, colors = real(gr)
+            return chi, np.ones_like(colors) if gr.k == 3 else colors
+
+        monkeypatch.setattr(V.analysis, "chromatic", planted)
+        group = build_group("product:2x4")
+        ks = np.arange(2, 28)
+        check = V.check_chromatic(V.GroupBatch.build(group, ks))
+        assert check.failed_cells == np.count_nonzero(ks % 4 == 3) == 7
+        assert check.failures[0] == "group=product:2x4 k=3: expected proper colouring, got conflict"
+        # each row once per conflicting edge (two in this graph), in row order
+        listed = [int(f.split("k=")[1].split(":")[0]) for f in check.failures if f != "..."]
+        assert listed == [3, 3, 7, 7, 11]
+
+    def test_aperiodic_row_fails_period_alone(self, monkeypatch):
+        # Row k = 10 of product:2x4 (k = 2 mod 4) relabelled by a swap of two
+        # vertices: the same graph up to isomorphism, so every other check
+        # passes on it, but no longer the row of k = 2.
+        group = build_group("product:2x4")
+        ks = np.arange(2, 28)
+        real = V.successor_rows
+
+        def planted(g, exponents):
+            S = real(g, exponents)
+            row = S[8]
+            u, v = next((u, v) for u in range(8) for v in range(u + 1, 8)
+                        if not np.array_equal(swapped(row, u, v), row))
+            S[8] = swapped(row, u, v)
+            return S
+
+        def swapped(row, u, v):
+            swap = np.arange(row.size)
+            swap[[u, v]] = v, u
+            return swap[row[swap]]
+
+        monkeypatch.setattr(V, "successor_rows", planted)
+        batch = V.GroupBatch.build(group, ks)
+        assert batch.aperiodic.tolist() == [8]
+        assert batch.rep.size == 5
+        assert_same_metrics(batch.metrics, V.analyze_batch(batch.S))
+        checks = {name: fn(batch) for name, fn in V._BATCH_CHECKS.items()}
+        assert {name: c.failed_cells for name, c in checks.items() if not c.passed} == {"period": 1}
+        assert checks["period"].failures[0].startswith("group=product:2x4 k=10: expected ")
+        assert checks["period"].failures[0].split(" as at ")[1].startswith("k=2, got ")
 
 
 class TestChecks:
