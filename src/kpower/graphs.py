@@ -3,23 +3,24 @@
 The directed graph of (G, k) sends every x to x**k; the undirected graph
 symmetrises that map, drops loops and merges mutual arcs, so its edge set
 is exactly {x, y} with x != y and (x**k = y or y**k = x).  A `KPowerGraph`
-is the undirected graph together with the successor map it was built from.
+is its successor row: every edge, degree, component and distance is read
+off that one int64 array, and nothing builds adjacency lists.
 
 The undirected edges come from the successor map s by one rule, shared
 with the sweep engine (``verify.analyze_batch``), `kept_arcs`: every arc
 x -> s(x) with x != s(x) is an edge, except that a mutual pair
 (s(s(x)) = x) would give the same edge twice, so the arc leaving its
-larger end is dropped.  Edge and degree counts are counts of the kept
-arcs; their keys min*n + max are distinct, and one sort lists the edges in
-(u, v) order for the exports and, only when asked for, the adjacency lists.
+larger end is dropped.  Edge and degree counts, and each component's edge
+count, are counts of the kept arcs; their keys min*n + max are distinct,
+and one sort lists the edges in (u, v) order for the exports.
 
 Every vertex has out-degree one, so each component carries exactly one
 directed cycle.  One vectorised pass over the successor map, `_components`,
 finds them: the sweep engine runs it on a whole batch, a `KPowerGraph` once
 on its own row.  Its peel levels and on-cycle distance parities (tracked on
 a graph's own pass only) also give the 3-colouring certificate
-(``analysis.chromatic``) and the diameter of a connected graph, a tree, so
-neither walks adjacency lists; only `distances_from` does.
+(``analysis.chromatic``) and the diameter of a connected graph, a tree.
+`distances_from` walks the row and its predecessor index.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
@@ -28,7 +29,6 @@ normalised k are kept on the graph objects.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -56,9 +56,8 @@ def normalize_exponent(k: int, order: int) -> int:
 class KPowerGraph:
     """The undirected graph of the successor row x -> x**k.
 
-    Everything but `distances_from` reads the row through arrays: the
-    component pass runs once per graph, on first use, and the Python
-    adjacency lists are built only if something asks for them.
+    Everything is read off the row through arrays; the component pass
+    runs once per graph, on first use.
     """
 
     k: int
@@ -85,19 +84,11 @@ class KPowerGraph:
         tail = np.flatnonzero(kept_arcs(succ))
         return np.bincount(tail, minlength=succ.size) + np.bincount(succ[tail], minlength=succ.size)
 
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbour lists, loop-free."""
-        return _adjacency_lists(self.successor)
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
         n = self.group_order
         keys = _edge_keys(self.successor)
         return list(zip((keys // n).tolist(), (keys % n).tolist()))
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
 
     def __eq__(self, other) -> bool:
         """Same exponents and the same edges; the successor rows may differ."""
@@ -158,33 +149,6 @@ def _edge_keys(succ: np.ndarray) -> np.ndarray:
     keys = np.minimum(tail, head) * succ.size + np.maximum(tail, head)
     keys.sort()
     return keys
-
-
-def _adjacency_lists(succ: np.ndarray) -> list[list[int]]:
-    """Sorted neighbour lists of the graph of ``succ``.
-
-    In (u, v) order every vertex meets its lower neighbours (ascending)
-    before its higher ones (ascending), so appending edge by edge leaves
-    each list sorted.
-    """
-    n = succ.size
-    keys = _edge_keys(succ)
-    us, vs = (keys // n).tolist(), (keys % n).tolist()
-    # The n lists are n new containers: with the collector on, a graph near
-    # 2^16 vertices sets off about a hundred young-generation collections
-    # and a full one that walks every live graph, each time, though lists
-    # of ints can hold no reference cycle for it to free.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return adjacency
 
 
 class ComponentPass(NamedTuple):
@@ -291,15 +255,13 @@ def _components(succ: np.ndarray, parity: bool = False) -> ComponentPass:
 def components(gr: KPowerGraph) -> list[ComponentProfile]:
     """Connected components, classified by shape, ordered by least member.
 
-    A view over the graph's component pass.  A component with V vertices
-    has V arcs, one leaving each vertex, and its undirected graph loses one
-    edge to them when its directed cycle has length L <= 2: the loop of a
-    fixed point, or the two arcs of a mutual pair.
+    A view over the graph's component pass; each kept arc is one edge of
+    its tail's component.
     """
     cp = gr.component_pass
     comp, cycle_len = cp.comp, cp.cycle_len
     sizes = np.bincount(comp, minlength=cycle_len.size)
-    edges = sizes - (cycle_len <= 2)
+    edges = np.bincount(comp[kept_arcs(gr.successor)], minlength=cycle_len.size)
     # A stable sort keeps each component's vertices in ascending order.
     members = np.argsort(comp, kind="stable").tolist()
     ends = np.cumsum(sizes).tolist()
@@ -328,19 +290,30 @@ def component_shape(vertex_count: int, edge_count: int, cycle_length: int) -> tu
 
 
 def distances_from(gr: KPowerGraph, v: int) -> list[int | None]:
-    """BFS distances from v; None marks unreachable vertices."""
-    if not 0 <= v < gr.group_order:
+    """BFS distances from v; None marks unreachable vertices.
+
+    A vertex's neighbours are its successor and its predecessors, which
+    one stable sort of the row groups by successor.  A loop, or the second
+    arc of a mutual pair, only reaches a vertex already visited, so no
+    neighbour needs deduplicating.
+    """
+    n = gr.group_order
+    if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range")
-    dist: list[int | None] = [None] * gr.group_order
+    # the predecessors of x are preds[start[x]:start[x + 1]]
+    preds = np.argsort(gr.successor, kind="stable").tolist()
+    start = [0, *np.bincount(gr.successor, minlength=n).cumsum().tolist()]
+    succ = gr.successor.tolist()
+    dist: list[int | None] = [None] * n
     dist[v] = 0
     frontier = [v]
     while frontier:
         nxt = []
         for u in frontier:
-            du = dist[u]
-            for w in gr.adjacency[u]:
+            du = dist[u] + 1
+            for w in (succ[u], *preds[start[u]:start[u + 1]]):
                 if dist[w] is None:
-                    dist[w] = du + 1
+                    dist[w] = du
                     nxt.append(w)
         frontier = nxt
     return dist

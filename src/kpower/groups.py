@@ -445,4 +445,9 @@ def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
         active, power = active[keep], power[keep]
         flat[offsets[active] + j] = _perm_ranks(perms, power)
         power = np.take_along_axis(power, perms[active], axis=1)
-    return flat[offsets[:-1][None, :] + ks[:, None] % orders[None, :]]
+    # The gather overwrites its own index array: mode="clip" lets take write
+    # into `out` directly (the default mode copies it), and every index is
+    # in range.
+    idx = ks[:, None] % orders
+    idx += offsets[:-1]
+    return flat.take(idx, out=idx, mode="clip")

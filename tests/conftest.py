@@ -166,15 +166,29 @@ def set_adjacency(successor) -> list[list[int]]:
     return [sorted(nbrs) for nbrs in neighbour_sets]
 
 
+def set_distances(adjacency: list[list[int]], v: int) -> list[int | None]:
+    """BFS distances from v over neighbour lists; None marks unreachable vertices."""
+    dist: list[int | None] = [None] * len(adjacency)
+    dist[v] = 0
+    queue = [v]
+    for u in queue:
+        for w in adjacency[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def list_components(gr: KPowerGraph) -> list[ComponentProfile]:
-    """Components of a graph by BFS over its adjacency lists, ordered by least member.
+    """Components of a graph by BFS over its set-built neighbour lists, ordered by least member.
 
     This is the list-walking formulation ``graphs.components`` used before
     it became a view over the batch engine's component pass, kept as the
-    reference it is pinned against.  A component with as many edges as
+    reference it is pinned against; it reads the graph only through its
+    successor row (`set_adjacency`).  A component with as many edges as
     vertices has one cycle, found by stripping leaves until only it remains.
     """
-    adjacency = gr.adjacency
+    adjacency = set_adjacency(gr.successor.tolist())
     seen = [False] * gr.group_order
     profiles = []
     for start in range(gr.group_order):
@@ -225,7 +239,7 @@ def list_chromatic(gr: KPowerGraph) -> tuple[int, list[int]]:
     reference it is pinned against.  Colours are 1-based; each vertex takes
     the least colour none of its coloured neighbours has.
     """
-    adjacency = gr.adjacency
+    adjacency = set_adjacency(gr.successor.tolist())
     colors = [0] * gr.group_order
     chi = 0
     for root in range(gr.group_order):
@@ -253,13 +267,11 @@ def list_chromatic(gr: KPowerGraph) -> tuple[int, list[int]]:
 
 def list_clique_number(gr: KPowerGraph) -> int:
     """The clique number of a graph with no K_4, by a triangle search over neighbour sets."""
-    if gr.edge_count == 0:
+    adj_sets = [set(nbrs) for nbrs in set_adjacency(gr.successor.tolist())]
+    edges = [(u, v) for u, nbrs in enumerate(adj_sets) for v in nbrs if u < v]
+    if not edges:
         return 1
-    adj_sets = [set(nbrs) for nbrs in gr.adjacency]
-    for u, v in gr.edges():
-        if adj_sets[u] & adj_sets[v]:
-            return 3
-    return 2
+    return 3 if any(adj_sets[u] & adj_sets[v] for u, v in edges) else 2
 
 
 def perm_index(group: FiniteGroup, p: tuple[int, ...]) -> int:

@@ -116,7 +116,7 @@ def test_criterion_01_small_group_fixtures():
             assert set(build_undirected(S3, k).edges()) == pairs
         assert set(build_undirected(Z4, 2).edges()) == {(0, 2), (1, 2), (2, 3)}
         star = build_undirected(Z4, 2)
-        assert star.degree(2) == 3  # centred at 2
+        assert star.degrees[2] == 3  # centred at 2
 
     check()
     best = _timed_best(check)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import POWER_MAP_SPECS, brute_degrees, pairwise_edges
-from kpower import analysis, numth
+from kpower import analysis, numth, verify
 from kpower.analysis import (
     CyclicExtras,
     TheoremViolation,
@@ -545,8 +545,23 @@ class TestAnalyze:
         assert report.discrepancies == [
             "planted census fault",
             "edge count: formula -1 != graph 4",
-            "edges: planted census fault",
+            "edges: group=sym:3: planted census fault",
         ]
+
+    def test_connected_graph_with_a_cycle_has_no_diameter(self, monkeypatch):
+        # dihedral:3 at k = 7 (k = 1 mod 6) planted as a triangle with three leaves on 0
+        real = verify.successor_rows
+
+        def planted(group, ks):
+            S = real(group, ks)
+            S[ks % 6 == 1] = [1, 2, 0, 0, 0, 0]
+            return S
+
+        monkeypatch.setattr(verify, "successor_rows", planted)
+        report = analyze(build_group("dihedral:3"), 7)
+        assert report.is_connected
+        assert report.diameter is None
+        assert "connectivity: group=dihedral:3 k=1: expected 5, got 6" in report.discrepancies
 
     def test_json_round_trip_field_order(self):
         import json

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,44 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--family", "rings", "--max-n", "5"])
         assert info.value.code == 2
+
+    def test_connected_graph_with_a_cycle_is_a_counterexample(self, capsys, monkeypatch):
+        # dihedral:3 at k = 7 planted as 0 -> 1 -> 2 -> 0 with 3, 4, 5 -> 0:
+        # connected, but with a triangle, so no tree and no diameter
+        real = V.successor_rows
+
+        def planted(group, ks):
+            S = real(group, ks)
+            if str(group.spec) == "dihedral:3":
+                S[np.asarray(ks) == 7] = [1, 2, 0, 0, 0, 0]
+            return S
+
+        monkeypatch.setattr(V, "successor_rows", planted)
+        code, out, err = run(capsys, "verify", "--family", "dihedral", "--max-n", "3",
+                             "--theorem", "connectivity")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "theorem connectivity: 12 cells, 1 failed, FAIL",
+            "  counterexample: group=dihedral:3 k=7: expected False, got True",
+            "  counterexample: group=dihedral:3 k=7: expected 5, got 6",
+        ]
+
+    def test_broken_census_fails_its_group(self, capsys, monkeypatch):
+        real = V.analysis.edge_count_rows
+
+        def broken(group, kn):
+            if str(group.spec) == "cyclic:4":
+                raise V.analysis.TheoremViolation("planted census fault")
+            return real(group, kn)
+
+        monkeypatch.setattr(V.analysis, "edge_count_rows", broken)
+        code, out, err = run(capsys, "verify", "--family", "cyclic", "--max-n", "5",
+                             "--theorem", "edges")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "theorem edges: 15 cells, 4 failed, FAIL",
+            "  counterexample: group=cyclic:4: planted census fault",
+        ]
 
 
 class TestChair:

@@ -1,6 +1,5 @@
 """Graph layer: small-group fixtures, the pairwise-definition oracle, shapes, exports."""
 
-import gc
 import json
 
 import numpy as np
@@ -16,9 +15,9 @@ from conftest import (
     power_map_cases,
     power_map_matrices,
     set_adjacency,
+    set_distances,
     successor_matrices,
 )
-from kpower import graphs
 from kpower.analysis import analyze, chromatic
 from kpower.graphs import (
     build_undirected,
@@ -242,19 +241,8 @@ class TestFromSuccessor:
             for k in (2, 3, 5, 9):
                 gr = build_undirected(g, k)
                 via_succ = undirected_from_successor(gr.successor.tolist(), k, gr.k_normalized)
-                assert via_succ.adjacency == gr.adjacency
+                assert via_succ.edges() == gr.edges()
                 assert np.array_equal(via_succ.successor, gr.successor)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_leaves_the_collector_as_it_found_it(self, enabled):
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            adjacency = undirected_from_successor([1, 2, 0, 3], 2, 2).adjacency
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert adjacency == [[1, 2], [0, 2], [0, 1], []]
 
 
 class TestAgainstSetReference:
@@ -262,8 +250,11 @@ class TestAgainstSetReference:
 
     @staticmethod
     def assert_matches(gr, row):
-        assert gr.adjacency == set_adjacency(row)
-        assert all(type(v) is int for nbrs in gr.adjacency for v in nbrs)
+        adjacency = set_adjacency(row)
+        assert gr.edges() == [(u, v) for u in range(len(row)) for v in adjacency[u] if u < v]
+        assert all(type(x) is int for edge in gr.edges() for x in edge)
+        assert gr.degrees.tolist() == [len(nbrs) for nbrs in adjacency]
+        assert gr.edge_count == sum(map(len, adjacency)) // 2
         assert gr.successor.tolist() == list(row)
 
     @settings(max_examples=300, deadline=None)
@@ -282,6 +273,16 @@ class TestAgainstSetReference:
             adjacency = set_adjacency(row)
             assert sorted(arcs) == [(u, v) for u in range(len(row)) for v in adjacency[u] if u < v]
 
+    @settings(max_examples=200, deadline=None)
+    @given(successor_matrices())
+    def test_distances_from_every_vertex(self, S):
+        # the drawn rows hold loops, mutual pairs, long cycles and trees
+        for row in S.tolist():
+            gr = undirected_from_successor(row, 2, 2)
+            adjacency = set_adjacency(row)
+            for v in range(len(row)):
+                assert distances_from(gr, v) == set_distances(adjacency, v)
+
     @settings(max_examples=100, deadline=None)
     @given(power_map_cases())
     def test_power_map_rows(self, case):
@@ -297,7 +298,7 @@ class TestAgainstSetReference:
 class TestComponentViewsAgainstListReference:
     """The component queries, views over the engine's component pass, and the
     engine's cycle metrics on the same row, against BFS, leaf stripping and
-    a triangle search on the adjacency lists."""
+    a triangle search on the set-built neighbour lists."""
 
     @staticmethod
     def assert_matches(gr):
@@ -326,8 +327,8 @@ class TestComponentViewsAgainstListReference:
 
 class TestCertificatesAgainstListReference:
     """The colouring certificate and the peel-level diameter, both read off
-    the successor row, against the greedy colouring and BFS eccentricities
-    on the adjacency lists."""
+    the successor row, against the greedy colouring on the set-built
+    neighbour lists and BFS eccentricities."""
 
     @staticmethod
     def assert_matches(row):
@@ -374,15 +375,7 @@ class TestCertificatesAgainstListReference:
 
 
 class TestNoAdjacencyLists:
-    """Sweeps, `analyze` and exports read the successor rows through arrays:
-    the lazy adjacency builder must never run."""
-
-    @pytest.fixture(autouse=True)
-    def forbid_lists(self, monkeypatch):
-        def refuse(succ):
-            raise AssertionError("adjacency lists built")
-
-        monkeypatch.setattr(graphs, "_adjacency_lists", refuse)
+    """Sweeps, `analyze` and exports on the successor rows alone, every check passing."""
 
     def test_sweep(self):
         families = ("cyclic", "dihedral", "quaternion", "sym", "product")
@@ -397,10 +390,6 @@ class TestNoAdjacencyLists:
         gr = build_undirected(g, k)
         to_dot(g, gr)
         to_json_dict(g, gr)
-
-    def test_lists_still_build_on_request(self, monkeypatch):
-        monkeypatch.undo()
-        assert undirected_from_successor([1, 2, 0, 3], 2, 2).adjacency == [[1, 2], [0, 2], [0, 1], []]
 
 
 class TestOneRowPath:

@@ -64,7 +64,7 @@ class TestBatchAgainstLibrary:
             h = nx.Graph(gr.edges())
             h.add_nodes_from(range(g.order))
             assert int(m.edge_count[r]) == gr.edge_count == h.number_of_edges()
-            assert m.degrees[r].tolist() == [gr.degree(v) for v in range(g.order)]
+            assert m.degrees[r].tolist() == gr.degrees.tolist() == [h.degree(v) for v in range(g.order)]
             assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
             assert bool(m.connected[r]) == (len(profiles) == 1)
             assert int(m.omega[r]) == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
@@ -99,7 +99,7 @@ class TestBatchAgainstLibrary:
         step = max(1, len(batch.ks) // 5)
         for r in range(0, len(batch.ks), step):
             gr = batch.graph_for_row(r)
-            assert gr.adjacency == build_undirected(g, int(batch.ks[r])).adjacency
+            assert gr.edges() == build_undirected(g, int(batch.ks[r])).edges()
 
 
 class TestAgainstUniqueReference:
@@ -192,6 +192,13 @@ class TestMemory:
         batch = V.GroupBatch.build(group, ks)
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
         assert self.traced_peak(V.check_degrees, batch) <= 1.5 * S.nbytes
+
+    def test_sym_power_map_fills_its_output_in_place(self):
+        # the gather writes into its own index array, not into a second R x n one
+        group = build_group("sym:6")
+        ks = V.exponents_for(group, None)
+        nbytes = len(ks) * group.order * 8
+        assert self.traced_peak(V.successor_rows, group, ks) <= 1.2 * nbytes
 
 
 # Every family, with orders 1 and 2 and a group whose exponent is below its order.
@@ -347,6 +354,23 @@ class TestChecks:
         assert [f for f in check.failures if f.endswith("got conflict")] == [
             "group=cyclic:4 k=3: expected proper colouring, got conflict"
         ]
+
+    @pytest.mark.parametrize("colour,seen", [(0, "4 colours in 0..3"), (4, "4 colours in 1..4")])
+    def test_chromatic_colours_must_be_exactly_one_to_chi(self, monkeypatch, colour, seen):
+        # P(Z31, 2) is six pentagons and the isolated vertex 0: chi = 3, and
+        # any colour on vertex 0 keeps the certificate proper
+        real = V.analysis.chromatic
+
+        def planted(gr):
+            chi, colors = real(gr)
+            colors[0] = colour
+            return chi, colors
+
+        monkeypatch.setattr(V.analysis, "chromatic", planted)
+        batch = V.GroupBatch.build(build_group("cyclic:31"), np.array([2], dtype=np.int64))
+        check = V.check_chromatic(batch)
+        assert check.failed_cells == 1
+        assert check.failures == [f"group=cyclic:31 k=2: expected colours 1..3, got {seen}"]
 
     def test_one_value_for_all_rows_is_reported_whole(self):
         # check_perfect names its expected value with one string for every
