@@ -10,9 +10,10 @@ edge count, degrees, components, clique number, perfection and the star
 and forest shapes are its ``BatchMetrics``, and ``analyze`` reports them
 for one (G, k) next to their criteria.  Only what a batch does not hold is
 computed per graph: the colouring certificate ``chromatic``, read off the
-component pass's peel levels and cycle distance parities, and in
-``graphs`` the component profiles, the diameter, BFS distances and the
-exports.  The tests pin the engine against list-walking references.
+component pass's peel levels and cycle distance parities (on a sweep row,
+its share of the batch's one pass), and in ``graphs`` the component
+profiles, the diameter, BFS distances and the exports.  The tests pin the
+engine against list-walking references.
 
 ``analyze`` is a one-row view over the batch engine: its
 ``discrepancies`` are the counterexamples of the sweep's theorem checks on
@@ -213,17 +214,17 @@ def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     return (((k**3 - 1) % m == 0) & ((k - 1) % m != 0)).any(axis=1)
 
 
-def chromatic(gr: KPowerGraph) -> tuple[int, np.ndarray]:
+def chromatic(gr: KPowerGraph) -> np.ndarray:
     """A proper colouring with the minimum number of colours (never above 3).
 
     A certificate read off the successor row, with colours 1..3 in an int8
-    array.  A vertex on a directed cycle gets 2 when its distance forward
-    to its cycle's least vertex is odd, else 1; on an odd cycle of length
-    >= 3 that leaves the least vertex and its successor both 1, so the
-    successor gets 3.  Tail vertices, from the cycles outward, get 2 when
-    their successor has 1, else 1.  So chi is 1 for edgeless graphs, 2 for
-    bipartite graphs with an edge, and 3 exactly when some component's
-    cycle is odd.
+    array whose largest colour is chi.  A vertex on a directed cycle gets 2
+    when its distance forward to its cycle's least vertex is odd, else 1;
+    on an odd cycle of length >= 3 that leaves the least vertex and its
+    successor both 1, so the successor gets 3.  Tail vertices, from the
+    cycles outward, get 2 when their successor has 1, else 1.  So chi is 1
+    for edgeless graphs, 2 for bipartite graphs with an edge, and 3 exactly
+    when some component's cycle is odd.
     """
     succ = gr.successor
     cp = gr.component_pass
@@ -233,7 +234,7 @@ def chromatic(gr: KPowerGraph) -> tuple[int, np.ndarray]:
     colors[succ[cp.roots[odd]]] = 3
     for level in reversed(cp.levels):
         colors[level] = 1 + (colors[succ[level]] == 1)
-    return int(colors.max()), colors
+    return colors
 
 
 # -- characterizations ----------------------------------------------------------

@@ -16,11 +16,13 @@ and one sort lists the edges in (u, v) order for the exports.
 
 Every vertex has out-degree one, so each component carries exactly one
 directed cycle.  One vectorised pass over the successor map, `_components`,
-finds them: the sweep engine runs it on a whole batch, a `KPowerGraph` once
-on its own row.  Its peel levels and on-cycle distance parities (tracked on
-a graph's own pass only) also give the 3-colouring certificate
-(``analysis.chromatic``) and the diameter of a connected graph, a tree.
-`distances_from` walks the row and its predecessor index.
+finds them, with each on-cycle vertex's distance parity to its cycle's
+least vertex.  The sweep engine runs it once on a whole batch and hands
+each distinct graph its share (``verify.GroupBatch.graph_for_row``); a
+standalone `KPowerGraph` runs it once on its own row.  Its peel levels and
+parities give the 3-colouring certificate (``analysis.chromatic``) and the
+diameter of a connected graph, a tree.  `distances_from` walks the row and
+its predecessor index.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
@@ -57,7 +59,8 @@ class KPowerGraph:
     """The undirected graph of the successor row x -> x**k.
 
     Everything is read off the row through arrays; the component pass
-    runs once per graph, on first use.
+    runs once per graph, on first use, unless the graph came with its
+    batch's share of one (``verify.GroupBatch.graph_for_row``).
     """
 
     k: int
@@ -71,7 +74,7 @@ class KPowerGraph:
     @cached_property
     def component_pass(self) -> ComponentPass:
         """The component pass, with the distance parities the colouring reads."""
-        return _components(self.successor, parity=True)
+        return _components(self.successor)
 
     @cached_property
     def edge_count(self) -> int:
@@ -156,22 +159,23 @@ class ComponentPass(NamedTuple):
     order of their cycles' least vertices."""
 
     roots: np.ndarray  # each cycle's least vertex, ascending
-    comp: np.ndarray  # every vertex's component number
+    comp: np.ndarray | None  # every vertex's component number (None on a batch's share)
     cycle_len: np.ndarray  # each component's directed cycle length
-    least: np.ndarray  # each component's least vertex
-    levels: list[np.ndarray]  # the peel levels, leaves first
+    least: np.ndarray | None  # each component's least vertex (None on a batch's share)
+    levels: list[np.ndarray]  # the peel levels, leaves first, each ascending
     on_cycle: np.ndarray  # mask of the vertices on a directed cycle
-    odd: np.ndarray | None  # per on-cycle vertex, in id order: an odd number of steps forward to its root
+    odd: np.ndarray  # per on-cycle vertex, in id order: an odd number of steps forward to its root
 
 
-def _components(succ: np.ndarray, parity: bool = False) -> ComponentPass:
+def _components(succ: np.ndarray) -> ComponentPass:
     """Components of the functional graph ``succ``, one per directed cycle.
 
-    It runs once per row of every sweep, on rows of a few hundred vertices,
-    so its fixed costs count: it calls array methods, not the numpy
-    functions that wrap them.  The distance parities (``odd``) are tracked
-    only when ``parity`` asks for them: on the long cycles of a prime
-    cyclic group they cost more than the labels themselves.
+    It runs once per sweep batch and once per standalone graph.  On the
+    small graphs of a request its fixed costs count, so it calls array
+    methods, not the numpy functions that wrap them.  Every pass tracks the
+    on-cycle distance parities the colouring reads; they are updated
+    through a buffer rather than a mask, which on the long cycles of a
+    prime cyclic group would cost as much as the labels themselves.
     """
     N = succ.size
     # Peel vertices of in-degree zero until only the directed cycles remain.
@@ -213,7 +217,8 @@ def _components(succ: np.ndarray, parity: bool = False) -> ComponentPass:
     # directly (the default mode copies it), and every index is in range.
     label = np.arange(M, dtype=np.int64)
     spare = np.empty(M, dtype=np.int64)
-    odd = np.zeros(M, dtype=bool) if parity else None
+    odd = np.zeros(M, dtype=bool)
+    odd_ahead = np.empty(M, dtype=bool)
     w = 1
     while True:
         ahead = label.take(jump, out=spare, mode="clip")
@@ -221,12 +226,14 @@ def _components(succ: np.ndarray, parity: bool = False) -> ComponentPass:
         if not np.count_nonzero(lower):
             break
         np.minimum(label, ahead, out=label)
-        if parity:
-            # a lower minimum lies in the window's second half, w steps on
-            odd[lower] = odd[jump[lower]] ^ (w == 1)
+        # a lower minimum lies in the window's second half, w steps on
+        if w == 1:
+            np.copyto(odd, lower)
+        else:
+            np.copyto(odd, odd.take(jump, out=odd_ahead, mode="clip"), where=lower)
         jump, spare = jump.take(jump, out=spare, mode="clip"), jump
         w *= 2
-    del jump, spare, ahead, lower
+    del jump, spare, ahead, lower, odd_ahead
 
     # Each cycle's least vertex labels itself, so a running count over those
     # roots numbers the components densely in ascending label order.  Tail
@@ -256,9 +263,13 @@ def components(gr: KPowerGraph) -> list[ComponentProfile]:
     """Connected components, classified by shape, ordered by least member.
 
     A view over the graph's component pass; each kept arc is one edge of
-    its tail's component.
+    its tail's component.  A batch's share of the pass keeps no component
+    numbers or least vertices, so a graph that came with one runs its own
+    pass here.
     """
     cp = gr.component_pass
+    if cp.comp is None:
+        cp = _components(gr.successor)
     comp, cycle_len = cp.comp, cp.cycle_len
     sizes = np.bincount(comp, minlength=cycle_len.size)
     edges = np.bincount(comp[kept_arcs(gr.successor)], minlength=cycle_len.size)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import kpower.graphs
 import kpower.verify as V
 from conftest import (
     edge_counts_only,
@@ -15,11 +16,13 @@ from conftest import (
     list_clique_number,
     list_components,
     power_map_matrices,
+    set_adjacency,
+    set_distances,
     successor_matrices,
     unique_tables,
 )
-from kpower.analysis import chromatic
-from kpower.graphs import build_undirected
+from kpower.analysis import analyze, chromatic
+from kpower.graphs import build_undirected, diameter, undirected_from_successor
 from kpower.groups import build_group
 
 SAMPLE_SPECS = (
@@ -68,7 +71,7 @@ class TestBatchAgainstLibrary:
             assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
             assert bool(m.connected[r]) == (len(profiles) == 1)
             assert int(m.omega[r]) == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
-            assert int(m.chi[r]) == chromatic(gr)[0] == list_chromatic(gr)[0]
+            assert int(m.chi[r]) == chromatic(gr).max() == list_chromatic(gr)[0]
             assert bool(~m.has_cycle[r]) == nx.is_forest(h)
             star = g.order >= 2 and h.number_of_edges() == g.order - 1 == max(d for _, d in h.degree())
             assert bool(m.star_shape[r]) == star
@@ -170,7 +173,7 @@ class TestMemory:
     """Peak allocations of the sweep engine, as multiples of the successor matrix.
 
     The engine holds at most a handful of whole-batch arrays at once (about
-    4.5x ``S.nbytes`` on this batch); the bounds leave headroom but fail on a
+    4.6x ``S.nbytes`` on this batch); the bounds leave headroom but fail on a
     return to whole-batch temporaries, which measured about 18x and 11x.
     """
 
@@ -193,6 +196,17 @@ class TestMemory:
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
         assert self.traced_peak(V.check_degrees, batch) <= 1.5 * S.nbytes
 
+    def test_prime_order_batch_peaks_bounded(self):
+        # a prime order puts nearly every vertex on a cycle, where the batch
+        # keeps a parity per vertex beside the peel rounds; odd and even k
+        group = build_group("cyclic:4093")
+        ks = np.arange(2, 4098, 64, dtype=np.int64) + np.arange(64) % 2
+        batch = V.GroupBatch.build(group, ks)
+        assert batch.rep.size == 64
+        S = batch.S
+        assert self.traced_peak(V.analyze_batch, S) <= 6 * S.nbytes
+        assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
+
     def test_sym_power_map_fills_its_output_in_place(self):
         # the gather writes into its own index array, not into a second R x n one
         group = build_group("sym:6")
@@ -213,8 +227,11 @@ def every_row_analysed(batch):
 
 
 def assert_same_metrics(got, expected):
+    """Every field but ``component_pass``, which stays one share per class."""
     assert got.n == expected.n
     for f in fields(V.BatchMetrics)[1:]:
+        if f.name == "component_pass":
+            continue
         a, b = getattr(got, f.name), getattr(expected, f.name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
 
@@ -263,8 +280,8 @@ class TestDeduplicatedBatch:
         real = V.analysis.chromatic
 
         def planted(gr):
-            chi, colors = real(gr)
-            return chi, np.ones_like(colors) if gr.k == 3 else colors
+            colors = real(gr)
+            return np.ones_like(colors) if gr.k == 3 else colors
 
         monkeypatch.setattr(V.analysis, "chromatic", planted)
         group = build_group("product:2x4")
@@ -308,6 +325,81 @@ class TestDeduplicatedBatch:
         assert checks["period"].failures[0].split(" as at ")[1].startswith("k=2, got ")
 
 
+@pytest.fixture
+def component_passes(monkeypatch):
+    """The row sizes of every `graphs._components` call, through both bindings."""
+    sizes = []
+    real = kpower.graphs._components
+
+    def counted(succ):
+        sizes.append(succ.size)
+        return real(succ)
+
+    for module in (kpower.graphs, V):
+        monkeypatch.setattr(module, "_components", counted)
+    return sizes
+
+
+class TestOneComponentPass:
+    """A batch runs the component pass once; the certificates read their class's share."""
+
+    def test_sweep_runs_one_pass_per_batch(self, component_passes):
+        spec = V.SweepSpec(("cyclic",), 8, min_n=8, theorems=tuple(V._BATCH_CHECKS))
+        assert all(check.passed for check in V.run_verification(spec))
+        assert component_passes == [8 * 8]
+
+    def test_analyze_runs_one_pass(self, component_passes):
+        group = build_group("cyclic:12")
+        assert analyze(group, 5).discrepancies == []
+        assert component_passes == [12]
+        # a connected row (a star at k = 12) reads its diameter off the share too
+        report = analyze(group, 12)
+        assert report.discrepancies == [] and report.diameter == 2
+        assert component_passes == [12, 12]
+
+    @pytest.mark.parametrize("spec", (*DEDUP_SPECS, "cyclic:31", "cyclic:47"))
+    def test_certificates_match_standalone_graphs(self, spec):
+        # cyclic:47 at k of order 23 mod 47 has two 23-cycles, odd and long
+        group = build_group(spec)
+        ks = np.arange(2, 3 * group.order + 5)
+        batch = V.GroupBatch.build(group, ks)
+        for r in batch.rep.tolist():
+            shared = batch.graph_for_row(r)
+            alone = undirected_from_successor(batch.S[r].copy(), int(ks[r]), int(batch.kn[r]))
+            got, expected = shared.component_pass, alone.component_pass
+            for name in ("roots", "cycle_len", "on_cycle", "odd"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            assert [a.tolist() for a in got.levels] == [a.tolist() for a in expected.levels]
+            colors = chromatic(shared)
+            assert colors.dtype == np.int8 and np.array_equal(colors, chromatic(alone))
+            assert colors.max() == batch.metrics.chi[r] == list_chromatic(alone)[0]
+            if batch.diameters[r] < 0:
+                with pytest.raises(ValueError):
+                    diameter(alone)
+                continue
+            adjacency = set_adjacency(batch.S[r].tolist())
+            eccentricities = [max(set_distances(adjacency, v)) for v in range(group.order)]
+            assert diameter(shared) == batch.diameters[r] == diameter(alone) == max(eccentricities)
+
+    def test_share_of_a_pass_deeper_than_a_byte(self):
+        # a path 299 -> 298 -> ... -> 0 with a loop at 0: 299 peel levels,
+        # whose codes (2 per level) outgrow one byte; no group is that deep
+        row = np.maximum(np.arange(300) - 1, 0)
+        got = V.analyze_batch(row[None]).component_pass.share(0)
+        expected = kpower.graphs._components(row)
+        assert len(got.levels) == 299
+        assert [a.tolist() for a in got.levels] == [a.tolist() for a in expected.levels]
+        for name in ("roots", "cycle_len", "on_cycle", "odd"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+    def test_component_profiles_of_a_shared_graph(self):
+        # the share keeps no component numbers or least vertices; `components`
+        # runs the graph's own pass
+        batch = V.GroupBatch.build(build_group("cyclic:31"), np.arange(2, 33))
+        assert kpower.graphs.components(batch.graph_for_row(0)) == kpower.graphs.components(
+            build_undirected(batch.group, 2))
+
+
 class TestChecks:
     def test_all_theorems_pass_on_sample(self, batch):
         for name, fn in V._BATCH_CHECKS.items():
@@ -348,7 +440,7 @@ class TestChecks:
         # cyclic:4 at k=3 has the one edge 1 <-> 3, two arcs; colour it all 1
         group = build_group("cyclic:4")
         batch = V.GroupBatch.build(group, np.array([3], dtype=np.int64))
-        monkeypatch.setattr(V.analysis, "chromatic", lambda gr: (2, np.ones(gr.group_order, dtype=np.int8)))
+        monkeypatch.setattr(V.analysis, "chromatic", lambda gr: np.ones(gr.group_order, dtype=np.int8))
         check = V.check_chromatic(batch)
         assert check.failed_cells == 1
         assert [f for f in check.failures if f.endswith("got conflict")] == [
@@ -362,9 +454,9 @@ class TestChecks:
         real = V.analysis.chromatic
 
         def planted(gr):
-            chi, colors = real(gr)
+            colors = real(gr)
             colors[0] = colour
-            return chi, colors
+            return colors
 
         monkeypatch.setattr(V.analysis, "chromatic", planted)
         batch = V.GroupBatch.build(build_group("cyclic:31"), np.array([2], dtype=np.int64))
