@@ -10,10 +10,11 @@ edge count, degrees, components, clique number, perfection and the star
 and forest shapes are its ``BatchMetrics``, and ``analyze`` reports them
 for one (G, k) next to their criteria.  Only what a batch does not hold is
 computed per graph: the colouring certificate ``chromatic``, read off the
-component pass's peel levels and cycle distance parities (on a sweep row,
-its share of the batch's one pass), and in ``graphs`` the component
-profiles, the diameter, BFS distances and the exports.  The tests pin the
-engine against list-walking references.
+successor row and the component pass's per-vertex code of peel rounds and
+cycle distance parities (on a sweep row, its class's row of the batch's
+one pass), and in ``graphs`` the component profiles, the diameter, BFS
+distances and the exports.  The tests pin the engine against list-walking
+references.
 
 ``analyze`` is a one-row view over the batch engine: its
 ``discrepancies`` are the counterexamples of the sweep's theorem checks on
@@ -214,26 +215,37 @@ def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     return (((k**3 - 1) % m == 0) & ((k - 1) % m != 0)).any(axis=1)
 
 
+# A vertex's first colour from its code: 1 and 2 by cycle parity, 0 on a
+# tail until its peel round is coloured.
+_CODE_COLOR = np.array([1, 2, 0], dtype=np.int8)
+# A tail's colour from its successor's: 2 after a 1, else 1.
+_TAIL_COLOR = np.array([0, 2, 1, 1], dtype=np.int8)
+
+
 def chromatic(gr: KPowerGraph) -> np.ndarray:
     """A proper colouring with the minimum number of colours (never above 3).
 
-    A certificate read off the successor row, with colours 1..3 in an int8
-    array whose largest colour is chi.  A vertex on a directed cycle gets 2
-    when its distance forward to its cycle's least vertex is odd, else 1;
-    on an odd cycle of length >= 3 that leaves the least vertex and its
-    successor both 1, so the successor gets 3.  Tail vertices, from the
-    cycles outward, get 2 when their successor has 1, else 1.  So chi is 1
-    for edgeless graphs, 2 for bipartite graphs with an edge, and 3 exactly
-    when some component's cycle is odd.
+    A certificate read off the successor row and the component pass's
+    per-vertex code, with colours 1..3 in an int8 array whose largest
+    colour is chi.  A vertex on a directed cycle gets 2 when its distance
+    forward to its cycle's least vertex m is odd, else 1.  That parity
+    alternates along a cycle but from m to its successor, L - 1 steps from
+    m, so on an odd cycle of length L >= 3 m is the one vertex off a fixed
+    point that shares its successor's code (a tail's successor has a lower
+    code), and that successor gets 3.  Tail vertices, from the last peel
+    round back to the first, get 2 when their successor has 1, else 1.  So
+    chi is 1 for edgeless graphs, 2 for bipartite graphs with an edge, and
+    3 exactly when some component's cycle is odd.
     """
     succ = gr.successor
-    cp = gr.component_pass
-    colors = np.empty(succ.size, dtype=np.int8)
-    colors[cp.on_cycle] = 1 + cp.odd
-    odd = (cp.cycle_len >= 3) & (cp.cycle_len % 2 == 1)
-    colors[succ[cp.roots[odd]]] = 3
-    for level in reversed(cp.levels):
-        colors[level] = 1 + (colors[succ[level]] == 1)
+    code = gr.code
+    colors = _CODE_COLOR.take(code, mode="clip")
+    clash = code.take(succ) == code
+    clash &= succ != np.arange(succ.size)
+    colors[succ[clash]] = 3
+    for j in range(int(code.max(initial=0)) // 2, 0, -1):
+        level = (code == 2 * j).nonzero()[0]
+        colors[level] = _TAIL_COLOR.take(colors.take(succ.take(level)))
     return colors
 
 

@@ -12,9 +12,10 @@ object; each value is checked as argparse checks the flag (type, choices,
 true/false for switches, a list for repeatable flags).
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error, including a bad config value and an ``--out`` path that cannot be
-written.  Output is deterministic; ``analyze`` adds a timestamp field
-unless --no-meta is given.
+error, including a bad config value, an ``--out`` path that cannot be
+written and a sweep too large for memory (lower ``--k-max``).  Output is
+deterministic; ``analyze`` adds a timestamp field unless --no-meta is
+given.
 """
 
 from __future__ import annotations
@@ -319,6 +320,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a sweep batch holds every exponent's successor row of its group at once
+        print(f"error: {exc or 'out of memory'}; a lower --k-max needs less memory", file=sys.stderr)
         return 2
 
 

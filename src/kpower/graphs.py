@@ -16,13 +16,14 @@ and one sort lists the edges in (u, v) order for the exports.
 
 Every vertex has out-degree one, so each component carries exactly one
 directed cycle.  One vectorised pass over the successor map, `_components`,
-finds them, with each on-cycle vertex's distance parity to its cycle's
-least vertex.  The sweep engine runs it once on a whole batch and hands
-each distinct graph its share (``verify.GroupBatch.graph_for_row``); a
-standalone `KPowerGraph` runs it once on its own row.  Its peel levels and
-parities give the 3-colouring certificate (``analysis.chromatic``) and the
-diameter of a connected graph, a tree.  `distances_from` walks the row and
-its predecessor index.
+finds them, and gives every vertex one code: 2j for a vertex of the j-th
+peel round, and on a cycle the parity of its distance forward to its
+cycle's least vertex.  The sweep engine runs it once on a whole batch and
+hands each distinct graph its row of the codes
+(``verify.GroupBatch.graph_for_row``); a standalone `KPowerGraph` runs it
+once on its own row.  The successor row and the code give the 3-colouring
+certificate (``analysis.chromatic``) and the diameter of a connected graph,
+a tree.  `distances_from` walks the row and its predecessor index.
 
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
@@ -59,8 +60,9 @@ class KPowerGraph:
     """The undirected graph of the successor row x -> x**k.
 
     Everything is read off the row through arrays; the component pass
-    runs once per graph, on first use, unless the graph came with its
-    batch's share of one (``verify.GroupBatch.graph_for_row``).
+    runs once per graph, on first use.  A sweep row comes with its class's
+    row of the batch pass's ``code`` (``verify.GroupBatch.graph_for_row``),
+    which is all the certificates read, so it runs no pass of its own for them.
     """
 
     k: int
@@ -73,8 +75,13 @@ class KPowerGraph:
 
     @cached_property
     def component_pass(self) -> ComponentPass:
-        """The component pass, with the distance parities the colouring reads."""
+        """`_components` on the row, run on first use."""
         return _components(self.successor)
+
+    @cached_property
+    def code(self) -> np.ndarray:
+        """Every vertex's peel round and cycle parity (`ComponentPass.code`)."""
+        return self.component_pass.code
 
     @cached_property
     def edge_count(self) -> int:
@@ -159,12 +166,13 @@ class ComponentPass(NamedTuple):
     order of their cycles' least vertices."""
 
     roots: np.ndarray  # each cycle's least vertex, ascending
-    comp: np.ndarray | None  # every vertex's component number (None on a batch's share)
+    comp: np.ndarray  # every vertex's component number
     cycle_len: np.ndarray  # each component's directed cycle length
-    least: np.ndarray | None  # each component's least vertex (None on a batch's share)
-    levels: list[np.ndarray]  # the peel levels, leaves first, each ascending
-    on_cycle: np.ndarray  # mask of the vertices on a directed cycle
-    odd: np.ndarray  # per on-cycle vertex, in id order: an odd number of steps forward to its root
+    least: np.ndarray  # each component's least vertex
+    # Every vertex's code: 2j in the j-th peel round; on a cycle 1 when its
+    # distance forward to the cycle's least vertex is odd, else 0.  One byte
+    # unless a tail is more than 127 rounds deep, which no group's is.
+    code: np.ndarray
 
 
 def _components(succ: np.ndarray) -> ComponentPass:
@@ -178,6 +186,10 @@ def _components(succ: np.ndarray) -> ComponentPass:
     prime cyclic group would cost as much as the labels themselves.
     """
     N = succ.size
+    # The code outlives every temporary below.  Allocated among them, it
+    # pins freed memory: on cyclic:65536 at 32 exponents, allocating it
+    # after the pass raised the batch's peak RSS (glibc malloc) by 7 MB.
+    code = np.zeros(N, dtype=np.uint8)
     # Peel vertices of in-degree zero until only the directed cycles remain.
     # A peeled vertex's in-degree is set to -1, so no later frontier holds it
     # again; every vertex a level points to is on a cycle or in a later level.
@@ -186,15 +198,18 @@ def _components(succ: np.ndarray) -> ComponentPass:
     frontier = (indeg == 0).nonzero()[0]
     while frontier.size:
         levels.append(frontier)
+        if len(levels) == 128:  # code 256 outgrows a byte
+            code = code.astype(np.min_scalar_type(2 * N))
+        code[frontier] = 2 * len(levels)
         indeg -= np.bincount(succ[frontier], minlength=N)
         indeg[frontier] = -1
         frontier = (indeg == 0).nonzero()[0]
-    on_cycle = indeg > 0
     del indeg, frontier
 
-    # Number the M on-cycle vertices 0..M-1 in id order, so that a compact
-    # number orders as the vertex it names, and follow the cycles on them.
-    cycle = on_cycle.nonzero()[0]
+    # Number the M on-cycle vertices (code 0 so far) 0..M-1 in id order, so
+    # that a compact number orders as the vertex it names, and follow the
+    # cycles on them.
+    cycle = (code == 0).nonzero()[0]
     M = cycle.size
     compact = np.empty(N, dtype=np.int64)
     compact[cycle] = np.arange(M, dtype=np.int64)
@@ -240,7 +255,9 @@ def _components(succ: np.ndarray) -> ComponentPass:
     # vertices take their successor's component, level by level from the
     # cycles outward; the least vertex of a component is its root or a tail.
     root = label == np.arange(M, dtype=np.int64)
-    cycle = on_cycle.nonzero()[0]
+    cycle = (code == 0).nonzero()[0]
+    code[cycle] = odd
+    del odd
     uniq = cycle[root]
     cycle_dense = root.cumsum()
     cycle_dense -= 1
@@ -256,20 +273,16 @@ def _components(succ: np.ndarray) -> ComponentPass:
         dense = comp_dense[succ[level]]
         comp_dense[level] = dense
         np.minimum.at(comp_least, dense, level)
-    return ComponentPass(uniq, comp_dense, comp_cycle_len, comp_least, levels, on_cycle, odd)
+    return ComponentPass(uniq, comp_dense, comp_cycle_len, comp_least, code)
 
 
 def components(gr: KPowerGraph) -> list[ComponentProfile]:
     """Connected components, classified by shape, ordered by least member.
 
     A view over the graph's component pass; each kept arc is one edge of
-    its tail's component.  A batch's share of the pass keeps no component
-    numbers or least vertices, so a graph that came with one runs its own
-    pass here.
+    its tail's component.
     """
     cp = gr.component_pass
-    if cp.comp is None:
-        cp = _components(gr.successor)
     comp, cycle_len = cp.comp, cp.cycle_len
     sizes = np.bincount(comp, minlength=cycle_len.size)
     edges = np.bincount(comp[kept_arcs(gr.successor)], minlength=cycle_len.size)
@@ -335,36 +348,38 @@ def diameter(gr: KPowerGraph) -> int:
 
     A connected k-power graph is a tree: its one directed cycle is a fixed
     point (the identity) or a mutual pair, so the tail arcs and, for a
-    pair, the pair's edge are all its edges.  Heights over the tail arcs
-    come from the peel levels, leaves first, so each level's heights are
-    final before they reach its successors.  A longest path turns at its
-    vertex nearest the cycle, down its two highest child branches, or
-    crosses the pair's edge.  Disconnected graphs, and connected ones with
-    an undirected cycle, are rejected.
+    pair, the pair's edge are all its edges.  Each component holds one
+    directed cycle, so a graph is a tree exactly when its on-cycle vertices
+    are one fixed point or one mutual pair; any other graph, disconnected
+    or with an undirected cycle, is rejected.  Over the tail arcs, a
+    vertex of the j-th peel round is j - 1 high, and an on-cycle vertex one
+    above its highest child.  A longest path turns at its vertex nearest
+    the cycle, down its two highest child branches, or crosses the pair's
+    edge.
     """
-    cp = gr.component_pass
-    if cp.roots.size != 1:
-        raise ValueError("diameter is defined for connected graphs only")
-    cycle_len = int(cp.cycle_len[0])
-    if cycle_len >= 3:
-        raise ValueError("diameter is computed on trees only; this graph has a cycle")
     succ = gr.successor
-    height = np.zeros(succ.size, dtype=np.int64)
-    for level in cp.levels:
-        np.maximum.at(height, succ[level], height[level] + 1)
-    # A vertex's second branch: a child branch below its height, or its
-    # height again when two children reach it.
-    tails = (~cp.on_cycle).nonzero()[0]
+    code = gr.code
+    cycle = (code < 2).nonzero()[0]
+    if not (cycle.size == 1 or (cycle.size == 2 and succ[cycle[0]] == cycle[1])):
+        raise ValueError("diameter is defined for trees only; this graph is disconnected or has a cycle")
+    # int64 before the ufunc.at calls: uint8 values into int64 take numpy's slow path
+    height = code.astype(np.int64)
+    height >>= 1
+    height -= 1
+    height[cycle] = 0
+    tails = (code >= 2).nonzero()[0]
     parent = succ[tails]
     reach = height[tails] + 1
+    np.maximum.at(height, parent, reach)  # only the on-cycle heights rise
+    # A vertex's second branch: a child branch below its height, or its
+    # height again when two children reach it.
     top = reach == height[parent]
     second = np.zeros(succ.size, dtype=np.int64)
     np.maximum.at(second, parent[~top], reach[~top])
     ties = np.bincount(parent[top], minlength=succ.size) >= 2
     best = int(np.where(ties, 2 * height, height + second).max())
-    if cycle_len == 2:
-        root = int(cp.roots[0])
-        best = max(best, int(height[root] + height[succ[root]]) + 1)
+    if cycle.size == 2:
+        best = max(best, int(height[cycle].sum()) + 1)
     return best
 
 

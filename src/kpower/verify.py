@@ -14,14 +14,15 @@ hash, a sort or a stable argsort:
   * the component pass, ``graphs._components``, which a standalone
     ``graphs.KPowerGraph`` also runs on its one row:
     - leaf peeling exposes the directed cycles (tails of power maps are
-      short, so the loop runs only a handful of rounds) and keeps its levels;
+      short, so the loop runs only a handful of rounds) and writes each
+      tail vertex's code, 2j for the j-th round;
     - doubling-with-minimum, over the on-cycle vertices alone, labels every
-      cycle by its least vertex, marks each vertex by the parity of its
-      distance to it, for the colouring, and stops at the first pass that
+      cycle by its least vertex, writes each on-cycle vertex's code, the
+      parity of its distance to it, and stops at the first pass that
       changes no label, so the pass count follows the longest cycle, not
       the order;
     - a running count over the cycles' least vertices numbers the
-      components in ascending label order, and the peel levels, replayed
+      components in ascending label order, and the peel rounds, replayed
       from the cycles outward, carry each tail vertex to its component.
 
 Each whole-batch temporary is dropped once its last use is past, so a
@@ -44,12 +45,11 @@ the clique number, perfection and the star and forest shapes; nothing
 computes them again per graph.  Each theorem check compares a closed form
 against them and reports counterexamples.  The colouring and the diameters
 are certificates built per representative row, by the per-graph functions
-``analysis.chromatic`` and ``graphs.diameter``, from that row's share of
-the batch's one component pass (`BatchPass`: peel rounds and cycle
-distance parities in one byte per vertex, cycle roots and lengths), so
-no check runs the pass again or builds an adjacency list.  The closed
-forms live in `analysis`, written once and vectorised over the
-exponents.
+``analysis.chromatic`` and ``graphs.diameter``, from the successor row and
+that row's ``code`` of the batch's one component pass (each vertex's peel
+round and cycle distance parity, one byte per vertex), so no check runs
+the pass again or builds an adjacency list.  The closed forms live in
+`analysis`, written once and vectorised over the exponents.
 `analysis.analyze` builds a one-row batch, runs every check but the
 whole-group ``thm16`` on it and reports their failures.  The test suite
 pins the engine against list-walking references and networkx.
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
-from .graphs import ComponentPass, KPowerGraph, _components, diameter, kept_arcs
+from .graphs import KPowerGraph, _components, diameter, kept_arcs
 from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 MAX_COUNTEREXAMPLES = 5
@@ -93,7 +93,6 @@ class BatchMetrics:
     has_long_odd_cycle: np.ndarray  # odd length >= 5
     omega: np.ndarray  # clique number: 1 edgeless, 3 with a triangle, else 2
     all_shapes_basic: np.ndarray  # every component isolated/K2/cycle
-    pseudoforest_ok: np.ndarray  # every component has edges <= vertices
     star_shape: np.ndarray
     chi: np.ndarray  # 1/2/3 from cycle parity
     comp_row: np.ndarray  # per-component arrays
@@ -101,68 +100,23 @@ class BatchMetrics:
     comp_edges: np.ndarray
     comp_cycle_len: np.ndarray  # directed cycle length (1 = fixed point, 2 = mutual pair)
     comp_least: np.ndarray  # least (flat) vertex of each component
-    component_pass: BatchPass  # per analysed row, never spread
-
-
-@dataclass
-class BatchPass:
-    """What the certificates read of `analyze_batch`'s component pass, per analysed row.
-
-    One code per vertex holds its peel round and its parity: 2j for a
-    vertex of the j-th peel level, and for an on-cycle vertex 1 when its
-    distance forward to its cycle's least vertex is odd, else 0.  A tail is
-    at most log2 o(G) deep, so on every group the code takes one byte,
-    where the level lists would take eight per tail vertex.  Row i's
-    components are entries ``comp_start[i]:comp_start[i + 1]`` of
-    ``roots`` (the row's own ids) and ``cycle_len``, each in the smallest
-    unsigned type that holds its values.
-    """
-
-    code: np.ndarray  # (U, n)
-    roots: np.ndarray
-    cycle_len: np.ndarray
-    comp_start: np.ndarray
-
-    def share(self, i: int) -> ComponentPass:
-        """Row i's component pass, as ``graphs._components`` gives it on that
-        row alone, without its component numbers and least vertices: one
-        stable sort of the row's codes lists each peel level in ascending
-        order."""
-        code = self.code[i]
-        order = code.argsort(kind="stable")
-        # level j is the run of code 2j, between the ends of codes 2j-1 and 2j
-        ends = np.bincount(code).cumsum().tolist()
-        levels = [order[a:b] for a, b in zip(ends[1::2], ends[2::2])]
-        on_cycle = code < 2
-        lo, hi = self.comp_start[i], self.comp_start[i + 1]
-        return ComponentPass(self.roots[lo:hi].astype(np.int64), None,
-                             self.cycle_len[lo:hi].astype(np.int64), None, levels, on_cycle,
-                             code[on_cycle] == 1)
+    code: np.ndarray  # (U, n) `graphs.ComponentPass.code` per analysed row, never spread
 
 
 def analyze_batch(S: np.ndarray) -> BatchMetrics:
     R, n = S.shape
     N = R * n
-    # The certificates' codes (`BatchPass`) outlive every temporary below.
-    # Allocated among them, they pin freed memory: on cyclic:65536 at 32
-    # exponents, allocating them after the pass raised the peak RSS (glibc
-    # malloc) by 7 MB, three times their size.
-    code = np.zeros(N, dtype=np.uint8)
     succ = S.astype(np.int64)
     succ += (np.arange(R, dtype=np.int64) * n)[:, None]
     succ = succ.ravel()
 
+    # The pass runs first, so the code it returns, which outlives the batch,
+    # is allocated before any whole-batch temporary (see `_components`): run
+    # after the edge mask, it raised large-groups' peak RSS by 6 MB.
+    uniq, comp_dense, comp_cycle_len, comp_least, code = _components(succ)
     fixed_count = (S == np.arange(n)).sum(axis=1)
     # The kept arcs are the edges, one arc each (`graphs.kept_arcs`).
     keep = kept_arcs(succ)
-    cp = _components(succ)
-    uniq, comp_dense, comp_cycle_len, comp_least = cp[:4]
-    if 2 * len(cp.levels) > 255:  # deeper than any group's tails
-        code = code.astype(np.min_scalar_type(2 * len(cp.levels)))
-    code[cp.on_cycle] = cp.odd
-    for depth, level in enumerate(cp.levels, 1):
-        code[level] = 2 * depth
-    del cp
     C = uniq.size
     comp_vertices = np.bincount(comp_dense, minlength=C)
     # Each kept arc is one edge of its tail's component.
@@ -198,7 +152,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     pure_cycle = undirected_cycle & (comp_vertices == comp_cycle_len)
     basic = isolated | pair | pure_cycle
     all_shapes_basic = np.bincount(comp_row[~basic], minlength=R) == 0
-    pseudoforest_ok = np.bincount(comp_row[comp_edges > comp_vertices], minlength=R) == 0
 
     if n >= 2:
         star_shape = (edge_count == n - 1) & (degrees.max(axis=1) == n - 1)
@@ -223,7 +176,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         has_long_odd_cycle=has_long_odd_cycle,
         omega=omega,
         all_shapes_basic=all_shapes_basic,
-        pseudoforest_ok=pseudoforest_ok,
         star_shape=star_shape,
         chi=chi,
         comp_row=comp_row,
@@ -231,9 +183,7 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         comp_edges=comp_edges,
         comp_cycle_len=comp_cycle_len,
         comp_least=comp_least,
-        component_pass=BatchPass(code.reshape(R, n), (uniq % n).astype(np.min_scalar_type(n - 1)),
-                                 comp_cycle_len.astype(np.min_scalar_type(n)),
-                                 np.concatenate(([0], comp_count.cumsum()))),
+        code=code.reshape(R, n),
     )
 
 
@@ -241,11 +191,10 @@ def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
     return np.bincount(rows, minlength=R) > 0
 
 
-# The per-row fields of `BatchMetrics`; the others but ``n`` and
-# ``component_pass`` are per component.
+# The per-row fields of `BatchMetrics`; the others but ``n`` and ``code``
+# are per component.
 _ROW_FIELDS = ("edge_count", "degrees", "fixed_count", "comp_count", "connected", "has_cycle",
-               "has_long_odd_cycle", "omega", "all_shapes_basic", "pseudoforest_ok",
-               "star_shape", "chi")
+               "has_long_odd_cycle", "omega", "all_shapes_basic", "star_shape", "chi")
 
 
 def _spread(m: BatchMetrics, row_class: np.ndarray) -> BatchMetrics:
@@ -254,7 +203,7 @@ def _spread(m: BatchMetrics, row_class: np.ndarray) -> BatchMetrics:
     Per-row fields are read through the class index.  Each row repeats its
     class's components in their order, with ``comp_least`` moved to the
     row's own flat ids, so the result equals ``analyze_batch`` on the
-    spread batch but for ``component_pass``, which stays one share per class.
+    spread batch but for ``code``, which stays one row per class.
     """
     n = m.n
     counts = m.comp_count[row_class]
@@ -273,7 +222,7 @@ def _spread(m: BatchMetrics, row_class: np.ndarray) -> BatchMetrics:
         comp_edges=m.comp_edges[comp],
         comp_cycle_len=m.comp_cycle_len[comp],
         comp_least=m.comp_least[comp] + (comp_row - m.comp_row[comp]) * n,
-        component_pass=m.component_pass,
+        code=m.code,
     )
 
 
@@ -360,7 +309,7 @@ class GroupBatch:
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        """Each tree row's diameter, from its class's peel levels; -1 on every other row.
+        """Each tree row's diameter, read off its class's row of the code; -1 on every other row.
 
         A tree is a connected row with n - 1 edges; ``check_connectivity``
         fails a connected row with any other count.
@@ -399,10 +348,10 @@ class GroupBatch:
         return analysis.primitive_root_rows(self.group.order, self.kn)
 
     def graph_for_row(self, r: int) -> KPowerGraph:
-        """Row r's KPowerGraph, over its successor row, with its class's share
-        of the batch's component pass already set as its own."""
+        """Row r's KPowerGraph, over its successor row, with its class's row
+        of the batch pass's code already set as its own."""
         gr = KPowerGraph(int(self.ks[r]), int(self.kn[r]), self.S[r])
-        gr.component_pass = self.metrics.component_pass.share(int(self.row_class[r]))
+        gr.code = self.metrics.code[self.row_class[r]]
         return gr
 
 
@@ -549,8 +498,8 @@ def check_clique(batch: GroupBatch) -> TheoremCheck:
 def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     """chi <= 3, and the colouring certificate is proper with colours exactly 1..chi.
 
-    The certificate runs on each class representative, from its share of
-    the batch's component pass; a class's result is every row's in it.
+    The certificate runs on each class representative, from its row of
+    the batch pass's code; a class's result is every row's in it.
     """
     check = TheoremCheck("chromatic", cells=len(batch.ks))
     chi = batch.metrics.chi

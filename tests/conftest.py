@@ -150,6 +150,43 @@ def unique_tables(S: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def peel_codes(successor) -> list[int]:
+    """Every vertex's component-pass code, by stripping leaves and walking cycles.
+
+    The independent route to ``graphs.ComponentPass.code``: vertices of
+    in-degree zero are stripped round by round, and one stripped in round j
+    gets 2j.  What remains are the directed cycles; each is walked from its
+    least vertex m, and a vertex on it gets the parity of its number of
+    steps forward to m.
+    """
+    n = len(successor)
+    code = [0] * n
+    alive = set(range(n))
+    j = 0
+    while True:
+        indeg = dict.fromkeys(alive, 0)
+        for x in alive:
+            indeg[successor[x]] += 1
+        leaves = [x for x in alive if indeg[x] == 0]
+        if not leaves:
+            break
+        j += 1
+        for x in leaves:
+            code[x] = 2 * j
+        alive.difference_update(leaves)
+    walked = set()
+    for m in sorted(alive):
+        if m in walked:
+            continue
+        cycle = [m]
+        while successor[cycle[-1]] != m:
+            cycle.append(successor[cycle[-1]])
+        for i, x in enumerate(cycle):
+            code[x] = (len(cycle) - i) % len(cycle) % 2
+        walked.update(cycle)
+    return code
+
+
 def set_adjacency(successor) -> list[list[int]]:
     """Sorted neighbour lists of a successor map's undirected graph, by sets.
 

@@ -279,6 +279,20 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ("verify", "sweep"))
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, command):
+        # numpy's message for `verify --family sym --max-n 8` at every k, never allocated here
+        message = "Unable to allocate 12.1 GiB for an array with shape (40320, 40320) and data type int64"
+
+        def exhausted(group, ks):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(V, "successor_rows", exhausted)
+        code, out, err = run(capsys, command, "--family", "cyclic", "--max-n", "4")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}; a lower --k-max needs less memory\n"
+
 
 def _describe(action):
     kind = action.type

@@ -216,6 +216,14 @@ class TestDistancesAndDiameter:
         with pytest.raises(ValueError):
             diameter(build_undirected(build_group("cyclic:31"), 2))
 
+    def test_two_fixed_points_rejected(self):
+        # two on-cycle vertices that are not a mutual pair: two components
+        with pytest.raises(ValueError):
+            diameter(undirected_from_successor([0, 1], 2, 2))
+
+    def test_mutual_pair_alone_is_k2(self):
+        assert diameter(undirected_from_successor([1, 0], 2, 2)) == 1
+
     def test_connected_with_a_cycle_rejected(self):
         # a triangle: connected, but no group's graph is, so it is not a tree
         with pytest.raises(ValueError):
@@ -367,6 +375,24 @@ class TestCertificatesAgainstListReference:
         assert chromatic(gr).max() == 2
         # one leaf below each end of the pair: the pair's edge is the middle of the path 2 - 0 - 1 - 3
         assert diameter(undirected_from_successor([1, 0, 0, 1], 2, 2)) == 3
+
+    @pytest.mark.parametrize("row, expected", (
+        # 0 <-> 1; below 0 two paths of two, below 1 a path of three: the
+        # longest path 3 - 2 - 0 - 1 - 6 - 7 - 8 crosses the pair's edge
+        ([1, 0, 0, 2, 0, 4, 1, 6, 7], 6),
+        # the same two paths below 0, one leaf below 1: the longest path
+        # 3 - 2 - 0 - 4 - 5 turns at 0, below the pair's edge
+        ([1, 0, 0, 2, 0, 4, 1], 4),
+        # below 0 two paths of three, one leaf below 1
+        ([1, 0, 0, 2, 3, 0, 5, 6, 1], 6),
+    ))
+    def test_branches_below_both_ends_of_a_mutual_pair(self, row, expected):
+        adjacency = set_adjacency(row)
+        assert max(max(set_distances(adjacency, v)) for v in range(len(row))) == expected
+        assert diameter(undirected_from_successor(row, 2, 2)) == expected
+
+    def test_empty_row(self):
+        assert chromatic(undirected_from_successor([], 2, 2)).tolist() == []
 
     def test_odd_cycle_takes_a_third_colour(self):
         # the 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0 with a tail 5 -> 1 on the third-coloured vertex

@@ -15,6 +15,7 @@ from conftest import (
     list_chromatic,
     list_clique_number,
     list_components,
+    peel_codes,
     power_map_matrices,
     set_adjacency,
     set_distances,
@@ -129,6 +130,29 @@ class TestAgainstUniqueReference:
         self.assert_tables_match(batch.S)
 
 
+class TestCodeAgainstPeelReference:
+    """The component pass's per-vertex code, standalone and as each row of a
+    batch, against round-by-round leaf stripping and a walk round each cycle."""
+
+    @staticmethod
+    def assert_codes_match(S):
+        batch_code = V.analyze_batch(S).code
+        for r, row in enumerate(S):
+            expected = peel_codes(row.tolist())
+            assert kpower.graphs._components(row).code.tolist() == expected
+            assert batch_code[r].tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(successor_matrices())
+    def test_random_successor_matrices(self, S):
+        self.assert_codes_match(S)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_matrices())
+    def test_power_map_rows(self, S):
+        self.assert_codes_match(S)
+
+
 class TestCycleLabelStopRule:
     """Cycle labelling stops at its first pass that changes no label.
 
@@ -197,8 +221,8 @@ class TestMemory:
         assert self.traced_peak(V.check_degrees, batch) <= 1.5 * S.nbytes
 
     def test_prime_order_batch_peaks_bounded(self):
-        # a prime order puts nearly every vertex on a cycle, where the batch
-        # keeps a parity per vertex beside the peel rounds; odd and even k
+        # a prime order puts nearly every vertex on a cycle, where the pass's
+        # code holds a distance parity per vertex; odd and even k
         group = build_group("cyclic:4093")
         ks = np.arange(2, 4098, 64, dtype=np.int64) + np.arange(64) % 2
         batch = V.GroupBatch.build(group, ks)
@@ -226,13 +250,14 @@ def every_row_analysed(batch):
     return V.GroupBatch(batch.group, batch.ks, batch.kn, batch.S, V.analyze_batch(batch.S))
 
 
-def assert_same_metrics(got, expected):
-    """Every field but ``component_pass``, which stays one share per class."""
+def assert_same_metrics(got, expected, rep):
+    """Every field but ``code``, which stays one row per class: its rows are
+    the expected rows of the classes' representatives ``rep``."""
     assert got.n == expected.n
     for f in fields(V.BatchMetrics)[1:]:
-        if f.name == "component_pass":
-            continue
         a, b = getattr(got, f.name), getattr(expected, f.name)
+        if f.name == "code":
+            b = b[rep]
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
 
 
@@ -247,7 +272,7 @@ class TestDeduplicatedBatch:
         batch = V.GroupBatch.build(group, ks)
         reference = every_row_analysed(batch)
         assert batch.rep.size == group.exponent
-        assert_same_metrics(batch.metrics, reference.metrics)
+        assert_same_metrics(batch.metrics, reference.metrics, batch.rep)
         assert np.array_equal(batch.diameters, reference.diameters)
         for name, fn in V._BATCH_CHECKS.items():
             got, expected = fn(batch), fn(reference)
@@ -318,7 +343,7 @@ class TestDeduplicatedBatch:
         batch = V.GroupBatch.build(group, ks)
         assert batch.aperiodic.tolist() == [8]
         assert batch.rep.size == 5
-        assert_same_metrics(batch.metrics, V.analyze_batch(batch.S))
+        assert_same_metrics(batch.metrics, V.analyze_batch(batch.S), batch.rep)
         checks = {name: fn(batch) for name, fn in V._BATCH_CHECKS.items()}
         assert {name: c.failed_cells for name, c in checks.items() if not c.passed} == {"period": 1}
         assert checks["period"].failures[0].startswith("group=product:2x4 k=10: expected ")
@@ -341,7 +366,7 @@ def component_passes(monkeypatch):
 
 
 class TestOneComponentPass:
-    """A batch runs the component pass once; the certificates read their class's share."""
+    """A batch runs the component pass once; the certificates read their class's row of its code."""
 
     def test_sweep_runs_one_pass_per_batch(self, component_passes):
         spec = V.SweepSpec(("cyclic",), 8, min_n=8, theorems=tuple(V._BATCH_CHECKS))
@@ -352,7 +377,7 @@ class TestOneComponentPass:
         group = build_group("cyclic:12")
         assert analyze(group, 5).discrepancies == []
         assert component_passes == [12]
-        # a connected row (a star at k = 12) reads its diameter off the share too
+        # a connected row (a star at k = 12) reads its diameter off the batch's code too
         report = analyze(group, 12)
         assert report.discrepancies == [] and report.diameter == 2
         assert component_passes == [12, 12]
@@ -366,10 +391,8 @@ class TestOneComponentPass:
         for r in batch.rep.tolist():
             shared = batch.graph_for_row(r)
             alone = undirected_from_successor(batch.S[r].copy(), int(ks[r]), int(batch.kn[r]))
-            got, expected = shared.component_pass, alone.component_pass
-            for name in ("roots", "cycle_len", "on_cycle", "odd"):
-                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-            assert [a.tolist() for a in got.levels] == [a.tolist() for a in expected.levels]
+            assert shared.code.dtype == alone.code.dtype == np.uint8
+            assert shared.code.tolist() == alone.code.tolist() == peel_codes(batch.S[r].tolist())
             colors = chromatic(shared)
             assert colors.dtype == np.int8 and np.array_equal(colors, chromatic(alone))
             assert colors.max() == batch.metrics.chi[r] == list_chromatic(alone)[0]
@@ -382,19 +405,17 @@ class TestOneComponentPass:
             assert diameter(shared) == batch.diameters[r] == diameter(alone) == max(eccentricities)
 
     def test_share_of_a_pass_deeper_than_a_byte(self):
-        # a path 299 -> 298 -> ... -> 0 with a loop at 0: 299 peel levels,
-        # whose codes (2 per level) outgrow one byte; no group is that deep
+        # a path 299 -> 298 -> ... -> 0 with a loop at 0: 299 peel rounds,
+        # whose codes (2 per round) outgrow one byte; no group is that deep
         row = np.maximum(np.arange(300) - 1, 0)
-        got = V.analyze_batch(row[None]).component_pass.share(0)
-        expected = kpower.graphs._components(row)
-        assert len(got.levels) == 299
-        assert [a.tolist() for a in got.levels] == [a.tolist() for a in expected.levels]
-        for name in ("roots", "cycle_len", "on_cycle", "odd"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        expected = peel_codes(row.tolist())
+        assert max(expected) == 2 * 299
+        for code in (V.analyze_batch(row[None]).code[0], kpower.graphs._components(row).code):
+            assert code.dtype == np.uint16 and code.tolist() == expected
 
     def test_component_profiles_of_a_shared_graph(self):
-        # the share keeps no component numbers or least vertices; `components`
-        # runs the graph's own pass
+        # a sweep row comes with its code alone; `components` runs the
+        # graph's own pass
         batch = V.GroupBatch.build(build_group("cyclic:31"), np.arange(2, 33))
         assert kpower.graphs.components(batch.graph_for_row(0)) == kpower.graphs.components(
             build_undirected(batch.group, 2))
