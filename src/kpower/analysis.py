@@ -11,8 +11,8 @@ and forest shapes are its ``BatchMetrics``, and ``analyze`` reports them
 for one (G, k) next to their criteria.  Only what a batch does not hold is
 computed per graph: the colouring certificate ``chromatic``, read off the
 successor row and the component pass's per-vertex code of peel rounds and
-cycle distance parities (on a sweep row, its class's row of the batch's
-one pass), and in ``graphs`` the component profiles, the diameter, BFS
+cycle distance parities (on a sweep row, its class's row of its batch
+block's pass), and in ``graphs`` the component profiles, the diameter, BFS
 distances and the exports.  The tests pin the engine against list-walking
 references.
 

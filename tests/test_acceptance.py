@@ -75,6 +75,20 @@ class CorpusResults:
         self.elapsed = 0.0
 
 
+def pseudoforest_failures(S: np.ndarray, m: V.BatchMetrics) -> np.ndarray:
+    """The rows of a batch that fail criterion 11, ascending.
+
+    A row fails when a component has more edges than vertices, or when its
+    components' edges do not add up to its edge count taken without the
+    engine's kept arcs (`edge_counts_only`).
+    """
+    R = S.shape[0]
+    over = np.bincount(m.comp_row[m.comp_edges > m.comp_vertices], minlength=R) > 0
+    row_edges = np.zeros(R, dtype=np.int64)
+    np.add.at(row_edges, m.comp_row, m.comp_edges)
+    return np.flatnonzero(over | (row_edges != edge_counts_only(S)))
+
+
 @pytest.fixture(scope="module")
 def corpus(request) -> CorpusResults:
     results = CorpusResults()
@@ -87,9 +101,7 @@ def corpus(request) -> CorpusResults:
             check.merge(V._BATCH_CHECKS[name](batch))
         m = batch.metrics
         results.chi_over_3 += int((m.chi > 3).sum())
-        # a pseudoforest: no component has more edges than vertices
-        bad = np.unique(m.comp_row[m.comp_edges > m.comp_vertices])
-        for r in bad[:3]:
+        for r in pseudoforest_failures(batch.S, m)[:3]:
             results.pseudoforest_failures.append(f"group={gspec} k={int(batch.ks[r])}")
     results.elapsed = time.perf_counter() - t0
     return results
@@ -294,11 +306,23 @@ def test_criterion_10_chair():
 
 
 def test_criterion_11_pseudoforest(corpus):
-    """Every component of every corpus graph has no more edges than vertices."""
+    """Every component of every corpus graph has no more edges than vertices,
+    and a graph's components hold all of its edges, counted independently."""
     _report(
         "criterion 11 (pseudoforest property)",
         not corpus.pseudoforest_failures,
-        f"{corpus.cells} graphs, every component edge count <= vertex count "
-        f"(corpus sweep {corpus.elapsed:.0f} s)",
+        f"{corpus.cells} graphs, every component edge count <= vertex count, "
+        f"component edges sum to the independent edge count (corpus sweep {corpus.elapsed:.0f} s)",
         corpus.pseudoforest_failures,
     )
+
+
+def test_criterion_11_fails_on_an_edge_counted_twice(monkeypatch):
+    """A kept-arc mask that keeps both arcs of every mutual pair fails the
+    criterion on each row with a mutual pair: on cyclic:5 the row k = 4,
+    x -> -x, alone."""
+    group = build_group("cyclic:5")
+    S = V.successor_rows(group, V.exponents_for(group, None))
+    assert pseudoforest_failures(S, V.analyze_batch(S)).size == 0
+    monkeypatch.setattr(V, "kept_arcs", lambda succ: succ != np.arange(succ.shape[-1]))
+    assert pseudoforest_failures(S, V.analyze_batch(S)).tolist() == [4 - 2]

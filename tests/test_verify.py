@@ -23,7 +23,7 @@ from conftest import (
     unique_tables,
 )
 from kpower.analysis import analyze, chromatic
-from kpower.graphs import build_undirected, diameter, undirected_from_successor
+from kpower.graphs import build_undirected, component_shape, components, diameter, undirected_from_successor
 from kpower.groups import build_group
 
 SAMPLE_SPECS = (
@@ -153,6 +153,59 @@ class TestCodeAgainstPeelReference:
         self.assert_codes_match(S)
 
 
+class TestPassPrimitivesOnHardRows:
+    """Rows that load the pass's peel decrement and parity select, standalone
+    and as the middle row of a batch, against leaf stripping and BFS."""
+
+    @staticmethod
+    def relabelled(rng, row):
+        """The same functional graph with its vertices renamed at random."""
+        name = rng.permutation(row.size)
+        out = np.empty_like(row)
+        out[name] = name[row]
+        return out
+
+    @staticmethod
+    def assert_row_matches(row):
+        n = row.size
+        code = peel_codes(row.tolist())
+        alone = undirected_from_successor(row, 2, 2)
+        profiles = list_components(alone)
+        assert alone.code.tolist() == code
+        assert components(alone) == profiles
+        # between a row of fixed points and one of mutual pairs
+        S = np.stack([np.arange(n), row, np.arange(n)[::-1]])
+        m = V.analyze_batch(S)
+        assert m.code[1].tolist() == code
+        mine = np.flatnonzero(m.comp_row == 1)
+        got = sorted((int(m.comp_least[c]) - n, int(m.comp_vertices[c]), int(m.comp_edges[c]),
+                      component_shape(int(m.comp_vertices[c]), int(m.comp_edges[c]),
+                                      int(m.comp_cycle_len[c])))
+                     for c in mine.tolist())
+        assert got == [(p.vertices[0], p.vertex_count, p.edge_count, (p.shape, p.cycle_length))
+                       for p in profiles]
+
+    def test_one_round_sends_many_arcs_into_one_head(self):
+        # a path 9 -> 8 -> ... -> 0 with a loop at 0, and 500 leaves into
+        # vertex 5: the first peel round decrements vertex 5 500 times
+        row = np.append(np.maximum(np.arange(10) - 1, 0), np.full(500, 5))
+        code = peel_codes(row.tolist())
+        assert code[5] == 2 * 5 and code[10:] == [2] * 500
+        self.assert_row_matches(row)
+        self.assert_row_matches(self.relabelled(np.random.default_rng(11), row))
+
+    def test_parity_through_twelve_doubling_passes(self):
+        # a random permutation of 5000 vertices beside one cycle of 2^11 + 1,
+        # whose labels settle only after 12 doubling passes
+        rng = np.random.default_rng(19)
+        length = 2**11 + 1
+        cycle = 5000 + np.arange(length)
+        row = np.concatenate([rng.permutation(5000), np.roll(cycle, -1)])
+        row = self.relabelled(rng, row)
+        assert V.analyze_batch(row[None]).comp_cycle_len.max() >= length
+        self.assert_row_matches(row)
+
+
 class TestCycleLabelStopRule:
     """Cycle labelling stops at its first pass that changes no label.
 
@@ -196,9 +249,11 @@ class TestCycleLabelStopRule:
 class TestMemory:
     """Peak allocations of the sweep engine, as multiples of the successor matrix.
 
-    The engine holds at most a handful of whole-batch arrays at once (about
-    4.6x ``S.nbytes`` on this batch); the bounds leave headroom but fail on a
-    return to whole-batch temporaries, which measured about 18x and 11x.
+    The engine works a block of rows at a time, so beside its outputs it
+    holds a handful of block-sized arrays at once (about 3.3x ``S.nbytes``
+    on a batch of two blocks, 1.7x on one of eight); the bounds leave
+    headroom but fail on a return to whole-batch temporaries, which
+    measured about 18x and 11x, or to one pass over the whole batch, 4.4x.
     """
 
     @staticmethod
@@ -219,6 +274,14 @@ class TestMemory:
         batch = V.GroupBatch.build(group, ks)
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
         assert self.traced_peak(V.check_degrees, batch) <= 1.5 * S.nbytes
+
+    def test_blocks_bound_the_batch_peak(self):
+        # 256 rows of 4096 vertices are 8 blocks of 2^17 vertices; one pass
+        # over the whole batch peaked at 4.4x
+        group = build_group("cyclic:4096")
+        S = V.successor_rows(group, np.arange(2, 4098, 16, dtype=np.int64))
+        assert S.shape == (256, 4096) and V._BLOCK_VERTICES == 32 * 4096
+        assert self.traced_peak(V.analyze_batch, S) <= 3 * S.nbytes
 
     def test_prime_order_batch_peaks_bounded(self):
         # a prime order puts nearly every vertex on a cycle, where the pass's
@@ -350,6 +413,44 @@ class TestDeduplicatedBatch:
         assert checks["period"].failures[0].split(" as at ")[1].startswith("k=2, got ")
 
 
+def blocked(S, block_vertices):
+    """``analyze_batch`` on S, in blocks of ``block_vertices`` vertices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "_BLOCK_VERTICES", block_vertices)
+        return V.analyze_batch(S)
+
+
+class TestBlocks:
+    """Blocks of one row (1 and n vertices) and of three rows (3n) give
+    every field and dtype of one block over the whole batch."""
+
+    @staticmethod
+    def assert_blocks_change_nothing(S):
+        whole = blocked(S, S.size)
+        n = S.shape[1]
+        for size in (1, n, 3 * n):
+            assert_same_metrics(blocked(S, size), whole, np.arange(S.shape[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(successor_matrices())
+    def test_random_successor_matrices(self, S):
+        self.assert_blocks_change_nothing(S)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_matrices())
+    def test_power_map_matrices(self, S):
+        self.assert_blocks_change_nothing(S)
+
+    def test_deep_block_joined_to_byte_blocks(self):
+        # the 299-round path of `test_share_of_a_pass_deeper_than_a_byte` in
+        # one block and plain rows in another: the joined code is uint16
+        path = np.maximum(np.arange(300) - 1, 0)
+        rng = np.random.default_rng(5)
+        S = np.stack([rng.permutation(300), rng.integers(0, 300, 300), np.arange(300), path])
+        assert blocked(S, 3 * 300).code.dtype == np.uint16
+        self.assert_blocks_change_nothing(S)
+
+
 @pytest.fixture
 def component_passes(monkeypatch):
     """The row sizes of every `graphs._components` call, through both bindings."""
@@ -366,7 +467,9 @@ def component_passes(monkeypatch):
 
 
 class TestOneComponentPass:
-    """A batch runs the component pass once; the certificates read their class's row of its code."""
+    """A batch runs the component pass once per block of rows, and these
+    batches are one block each; the certificates read their class's row of
+    its code."""
 
     def test_sweep_runs_one_pass_per_batch(self, component_passes):
         spec = V.SweepSpec(("cyclic",), 8, min_n=8, theorems=tuple(V._BATCH_CHECKS))
