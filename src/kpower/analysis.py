@@ -161,14 +161,6 @@ def covering_exponent_rows(orders: np.ndarray, kn: np.ndarray) -> np.ndarray:
     return np.where(possible, need, -1)
 
 
-def min_covering_exponent(d: int, k: int) -> int | None:
-    """Least m >= 0 with d | k**m, or None when no power of k is divisible."""
-    if d < 1:
-        raise ValueError("expects d >= 1")
-    m = int(covering_exponent_rows(np.array([d]), np.array([k % d or d]))[0, 0])
-    return None if m < 0 else m
-
-
 def connectivity_rows(group: FiniteGroup, kn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(criterion, diameter bound) for every normalised exponent.
 

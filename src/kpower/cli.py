@@ -12,10 +12,10 @@ object; each value is checked as argparse checks the flag (type, choices,
 true/false for switches, a list for repeatable flags).
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error, including a bad config value, an ``--out`` path that cannot be
-written and a sweep too large for memory (lower ``--k-max``).  Output is
-deterministic; ``analyze`` adds a timestamp field unless --no-meta is
-given.
+error, including a bad config value, a ``--k-max`` below 2, an ``--out``
+path that cannot be written and a sweep too large for memory (lower
+``--k-max``).  Output is deterministic; ``analyze`` adds a timestamp field
+unless --no-meta is given.
 """
 
 from __future__ import annotations

@@ -39,11 +39,14 @@ element orders.  ``GroupBatch.build`` still builds every row, classes the
 rows by their exponent mod exp(G) and compares each with its class's first
 row; the ``period`` check fails any row that differs, and such a row is
 analysed as its own graph.  Only the representatives go through
-`analyze_batch` and the per-row certificates, whose results are read back
-through the class index, while every closed form is still evaluated on
-each row's own exponent.  So every cell is still proved, and a batch whose
-rows are all distinct (a cyclic sweep with k <= o(G)+1, a one-row
-``analyze``) copies nothing.
+`analyze_batch` and the per-row certificates.  The per-row answers a check
+compares row by row (edge count, components, chi, ...) are gathered to
+every row through the class index; the graph's tables (degrees, fixed
+points, the component arrays and the code) stay one row per distinct
+graph, and the checks that read them work per class.  Every closed form is
+still evaluated on each row's own exponent, so every cell is still proved.
+A batch whose rows are all distinct (a cyclic sweep with k <= o(G)+1, a
+one-row ``analyze``) is analysed as built.
 
 `BatchMetrics` is the package's one graph side for these metrics and for
 the clique number, perfection and the star and forest shapes; nothing
@@ -86,26 +89,32 @@ MAX_COUNTEREXAMPLES = 5
 
 @dataclass
 class BatchMetrics:
-    """Per-row and per-component structure of a batch of k-power graphs."""
+    """Per-row answers and per-graph tables of a batch of k-power graphs.
+
+    ``analyze_batch`` gives every field one entry per analysed row.  In a
+    `GroupBatch`, which analyses one row per distinct graph, the answers
+    (marked "row") hold one entry per row of the batch, and the tables
+    (marked "graph") one per analysed row, read through ``row_class``.
+    """
 
     n: int
-    edge_count: np.ndarray  # (R,)
-    degrees: np.ndarray  # (R, n)
-    fixed_count: np.ndarray  # (R,)
-    comp_count: np.ndarray  # (R,)
-    connected: np.ndarray  # (R,) bool
-    has_cycle: np.ndarray  # some component cycle of length >= 3
-    has_long_odd_cycle: np.ndarray  # odd length >= 5
-    omega: np.ndarray  # clique number: 1 edgeless, 3 with a triangle, else 2
-    all_shapes_basic: np.ndarray  # every component isolated/K2/cycle
-    star_shape: np.ndarray
-    chi: np.ndarray  # 1/2/3 from cycle parity
-    comp_row: np.ndarray  # per-component arrays
-    comp_vertices: np.ndarray
-    comp_edges: np.ndarray
-    comp_cycle_len: np.ndarray  # directed cycle length (1 = fixed point, 2 = mutual pair)
-    comp_least: np.ndarray  # least (flat) vertex of each component
-    code: np.ndarray  # (U, n) `graphs.ComponentPass.code` per analysed row, never spread
+    edge_count: np.ndarray  # row: (R,)
+    degrees: np.ndarray  # graph: (U, n)
+    fixed_count: np.ndarray  # graph: (U,)
+    comp_count: np.ndarray  # row: (R,)
+    connected: np.ndarray  # row: (R,) bool
+    has_cycle: np.ndarray  # row: some component cycle of length >= 3
+    has_long_odd_cycle: np.ndarray  # row: odd length >= 5
+    omega: np.ndarray  # row: clique number: 1 edgeless, 3 with a triangle, else 2
+    all_shapes_basic: np.ndarray  # row: every component isolated/K2/cycle
+    star_shape: np.ndarray  # row
+    chi: np.ndarray  # row: 1/2/3 from cycle parity
+    comp_row: np.ndarray  # graph: per-component arrays; the analysed row of each
+    comp_vertices: np.ndarray  # graph
+    comp_edges: np.ndarray  # graph
+    comp_cycle_len: np.ndarray  # graph: directed cycle length (1 = fixed point, 2 = mutual pair)
+    comp_least: np.ndarray  # graph: least vertex of each component, flat over the analysed rows
+    code: np.ndarray  # graph: (U, n) `graphs.ComponentPass.code`
 
 
 def analyze_batch(S: np.ndarray) -> BatchMetrics:
@@ -219,39 +228,19 @@ def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
     return np.bincount(rows, minlength=R) > 0
 
 
-# The per-row fields of `BatchMetrics`; the others but ``n`` and ``code``
-# are per component.
-_ROW_FIELDS = ("edge_count", "degrees", "fixed_count", "comp_count", "connected", "has_cycle",
-               "has_long_odd_cycle", "omega", "all_shapes_basic", "star_shape", "chi")
+# The per-row answers of `BatchMetrics`, which a `GroupBatch` gathers to
+# every row; its other fields but ``n`` are the analysed rows' tables.
+_ROW_ANSWERS = ("edge_count", "comp_count", "connected", "has_cycle", "has_long_odd_cycle",
+                "omega", "all_shapes_basic", "star_shape", "chi")
 
 
-def _spread(m: BatchMetrics, row_class: np.ndarray) -> BatchMetrics:
-    """The metrics of the batch whose row r is row ``row_class[r]`` of ``m``'s.
+def _rep_rows(S: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """The successor rows of the classes' representatives, in class order.
 
-    Per-row fields are read through the class index.  Each row repeats its
-    class's components in their order, with ``comp_least`` moved to the
-    row's own flat ids, so the result equals ``analyze_batch`` on the
-    spread batch but for ``code``, which stays one row per class.
+    That is S itself when every row is its own class (``rep`` is then the
+    identity); otherwise a copy, which its caller drops after use.
     """
-    n = m.n
-    counts = m.comp_count[row_class]
-    comp_row = np.repeat(np.arange(row_class.size, dtype=np.int64), counts)
-    # row r's j-th component is its class's j-th: shift each row's run of
-    # ids from where the run starts to where its class's components start
-    class_start = np.cumsum(m.comp_count) - m.comp_count
-    row_start = np.cumsum(counts) - counts
-    comp = np.arange(comp_row.size, dtype=np.int64)
-    comp += np.repeat(class_start[row_class] - row_start, counts)
-    return BatchMetrics(
-        n=n,
-        **{name: getattr(m, name)[row_class] for name in _ROW_FIELDS},
-        comp_row=comp_row,
-        comp_vertices=m.comp_vertices[comp],
-        comp_edges=m.comp_edges[comp],
-        comp_cycle_len=m.comp_cycle_len[comp],
-        comp_least=m.comp_least[comp] + (comp_row - m.comp_row[comp]) * n,
-        code=m.code,
-    )
+    return S if rep.size == S.shape[0] else S[rep]
 
 
 # Successor entries compared at once when rows are checked against their class.
@@ -321,8 +310,9 @@ class GroupBatch:
 
         x**k depends on k only mod o(x), so rows whose exponents agree mod
         exp(G) hold one graph.  Each row is compared with its class's first
-        row; only those representatives go through ``analyze_batch``, whose
-        metrics are then spread back to every row.
+        row; only those representatives go through ``analyze_batch``.  Its
+        per-row answers are gathered to every row, and its tables stay one
+        row per class.
         """
         kn = normalized_exponents(ks, group.order)
         S = successor_rows(group, ks)
@@ -331,9 +321,12 @@ class GroupBatch:
         if aperiodic.size:  # each breaks away into a class of its own
             row_class[aperiodic] = rep.size + np.arange(aperiodic.size)
             rep = np.concatenate([rep, aperiodic])
-        if rep.size == len(ks):
-            return cls(group, ks, kn, S, analyze_batch(S), aperiodic=aperiodic)
-        metrics = _spread(analyze_batch(S[rep]), row_class)
+        if rep.size == len(ks):  # every row is its own class, in row order
+            rep = row_class = np.arange(len(ks))
+        metrics = analyze_batch(_rep_rows(S, rep))
+        if rep.size < len(ks):  # each class's answers, gathered to its rows
+            for name in _ROW_ANSWERS:
+                setattr(metrics, name, getattr(metrics, name)[row_class])
         return cls(group, ks, kn, S, metrics, rep, row_class, aperiodic)
 
     @cached_property
@@ -479,25 +472,27 @@ def check_edges(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_degrees(batch: GroupBatch) -> TheoremCheck:
-    """Closed-form degrees vs graph degrees, every vertex (cyclic only)."""
+    """Closed-form degrees vs graph degrees, every vertex (cyclic only).
+
+    Both sides are read one row per class.  A cyclic group's exponent is its
+    order n, so the rows of a class share one kn = k mod n, and the closed
+    form on the class's row is exactly the closed form on each of its rows.
+    """
     group = batch.group
     n = group.order
     check = TheoremCheck("degrees")
     if group.spec.family != "cyclic":
         return check
     check.cells = len(batch.ks) * n
-    formula = analysis.cyclic_degree_rows(n, batch.kn, np.arange(n, dtype=np.int64))
-    mismatch = formula != batch.metrics.degrees
-    bad_rows = np.flatnonzero(mismatch.any(axis=1))
+    degrees = batch.metrics.degrees
+    formula = analysis.cyclic_degree_rows(n, batch.kn[batch.rep], np.arange(n, dtype=np.int64))
+    mismatch = formula != degrees
+    bad_rows = np.flatnonzero(mismatch.any(axis=1)[batch.row_class])
     _mark_rows(check, batch, bad_rows)
-    for r in bad_rows[:MAX_COUNTEREXAMPLES]:
-        v = int(np.flatnonzero(mismatch[r])[0])
-        check.fail(
-            group,
-            int(batch.ks[r]),
-            f"deg({v}) = {int(formula[r, v])}",
-            int(batch.metrics.degrees[r, v]),
-        )
+    for r in bad_rows[:MAX_COUNTEREXAMPLES].tolist():
+        c = batch.row_class[r]
+        v = int(np.flatnonzero(mismatch[c])[0])
+        check.fail(group, int(batch.ks[r]), f"deg({v}) = {int(formula[c, v])}", int(degrees[c, v]))
     return check
 
 
@@ -540,8 +535,7 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     over = np.flatnonzero(chi > 3)
     _report_mismatches(check, batch, over, "<= 3", chi)
     rep, row_class = batch.rep, batch.row_class
-    # the representatives' rows: S itself when every row is its own class
-    S = batch.S if rep.size == len(batch.ks) else batch.S[rep]
+    S = _rep_rows(batch.S, rep)
     U, n = S.shape
     colors_mat = np.empty((U, n), dtype=np.int8)
     for c, r in enumerate(rep.tolist()):
@@ -550,7 +544,7 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     # loop x -> x clashes, so only a class with more clashes than fixed
     # points has a conflicting edge.  Each row is listed once per such edge.
     clash = colors_mat == np.take_along_axis(colors_mat, S, axis=1)
-    classes = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count[rep])
+    classes = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count)
     conflicts = np.count_nonzero(clash[classes] & kept_arcs(S[classes]), axis=1)
     del clash
     per_class = np.zeros(U, dtype=np.int64)
@@ -773,6 +767,8 @@ class SweepSpec:
                 raise ValueError(f"unknown theorem selector {theorem!r}")
         if self.max_n < self.min_n:
             raise ValueError("empty parameter range")
+        if self.k_max is not None and self.k_max < 2:
+            raise ValueError("k_max must be at least 2")
 
 
 def sweep_group_specs(spec: SweepSpec):
@@ -817,12 +813,10 @@ def corpus_specs():
 
 
 def sweep_batches(spec: SweepSpec):
-    """One `GroupBatch` per group of the sweep that has exponents, in sweep order."""
+    """One `GroupBatch` per group of the sweep, in sweep order."""
     for gspec in sweep_group_specs(spec):
         group = build_group(gspec)
-        ks = exponents_for(group, spec.k_max)
-        if len(ks):
-            yield GroupBatch.build(group, ks)
+        yield GroupBatch.build(group, exponents_for(group, spec.k_max))
 
 
 def run_verification(spec: SweepSpec) -> list[TheoremCheck]:

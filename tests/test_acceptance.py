@@ -76,7 +76,8 @@ class CorpusResults:
 
 
 def pseudoforest_failures(S: np.ndarray, m: V.BatchMetrics) -> np.ndarray:
-    """The rows of a batch that fail criterion 11, ascending.
+    """The rows of S that fail criterion 11, ascending; ``m``'s component
+    tables are those of S's rows.
 
     A row fails when a component has more edges than vertices, or when its
     components' edges do not add up to its edge count taken without the
@@ -101,8 +102,9 @@ def corpus(request) -> CorpusResults:
             check.merge(V._BATCH_CHECKS[name](batch))
         m = batch.metrics
         results.chi_over_3 += int((m.chi > 3).sum())
-        for r in pseudoforest_failures(batch.S, m)[:3]:
-            results.pseudoforest_failures.append(f"group={gspec} k={int(batch.ks[r])}")
+        # the component tables hold one row per class, of its representative's graph
+        for c in pseudoforest_failures(batch.S[batch.rep], m)[:3]:
+            results.pseudoforest_failures.append(f"group={gspec} k={int(batch.ks[batch.rep[c]])}")
     results.elapsed = time.perf_counter() - t0
     return results
 

@@ -15,13 +15,13 @@ from kpower.analysis import (
     chromatic,
     clique_criterion_rows,
     component_count_cyclic,
+    covering_exponent_rows,
     degree_cyclic,
     edge_count_formula,
     forest_criterion_rows,
     is_connected_criterion,
     is_connected_cyclic_pi,
     is_empty_graph,
-    min_covering_exponent,
     primitive_root_rows,
     shapes_basic_rows,
     star_case_rows,
@@ -132,10 +132,14 @@ class TestConnectivity:
         assert is_connected_criterion(g, 2) == (True, 6)
 
     def test_min_covering_exponent(self):
-        assert min_covering_exponent(1, 5) == 0
-        assert min_covering_exponent(8, 2) == 3
-        assert min_covering_exponent(12, 6) == 2  # 12 | 36
-        assert min_covering_exponent(31, 2) is None
+        # least m with d | k**m, one row per k and one column per d; -1 where no power works
+        def least(d, k):
+            return int(covering_exponent_rows(np.array([d]), np.array([k]))[0, 0])
+
+        assert least(1, 5) == 0
+        assert least(8, 2) == 3
+        assert least(12, 6) == 2  # 12 | 36
+        assert least(31, 2) == -1
 
     def test_pi_criterion(self):
         assert is_connected_cyclic_pi(4, 2)

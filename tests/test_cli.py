@@ -258,6 +258,8 @@ USAGE_ERRORS = [
     (["chair", "--n", "65537"], "n 65537 exceeds the supported ceiling 65536"),
     (["verify", "--family", "cyclic", "--max-n", "2", "--min-n", "3"], "empty parameter range"),
     (["sweep", "--family", "cyclic", "--max-n", "2", "--min-n", "3"], "empty parameter range"),
+    (["verify", "--family", "cyclic", "--max-n", "5", "--k-max", "1"], "k_max must be at least 2"),
+    (["sweep", "--family", "cyclic", "--max-n", "5", "--k-max", "0"], "k_max must be at least 2"),
     (["analyze", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
     (["export", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
     (["chair", "--n", "4", "-o", UNWRITABLE], None),

@@ -68,7 +68,8 @@ class TestBatchAgainstLibrary:
             h = nx.Graph(gr.edges())
             h.add_nodes_from(range(g.order))
             assert int(m.edge_count[r]) == gr.edge_count == h.number_of_edges()
-            assert m.degrees[r].tolist() == gr.degrees.tolist() == [h.degree(v) for v in range(g.order)]
+            degrees = m.degrees[batch.row_class[r]]  # a table: one row per class
+            assert degrees.tolist() == gr.degrees.tolist() == [h.degree(v) for v in range(g.order)]
             assert int(m.comp_count[r]) == len(profiles) == nx.number_connected_components(h)
             assert bool(m.connected[r]) == (len(profiles) == 1)
             assert int(m.omega[r]) == list_clique_number(gr) == max(len(c) for c in nx.find_cliques(h))
@@ -85,13 +86,14 @@ class TestBatchAgainstLibrary:
         step = max(1, len(batch.ks) // 5)
         for r in range(0, len(batch.ks), step):
             profiles = list_components(build_undirected(g, int(batch.ks[r])))
-            mask = m.comp_row == r
+            u = batch.row_class[r]  # the tables hold one row per class
+            mask = m.comp_row == u
             assert sorted(m.comp_vertices[mask].tolist()) == sorted(p.vertex_count for p in profiles)
             assert sorted(m.comp_edges[mask].tolist()) == sorted(p.edge_count for p in profiles)
             engine_cycles = sorted(int(c) for c in m.comp_cycle_len[mask] if c >= 3)
             library_cycles = sorted(p.cycle_length for p in profiles if p.cycle_length)
             assert engine_cycles == library_cycles
-            least = sorted((m.comp_least[mask] - r * g.order).tolist())
+            least = sorted((m.comp_least[mask] - u * g.order).tolist())
             assert least == [p.vertices[0] for p in profiles]
 
     def test_edge_counts_only_shortcut(self, batch):
@@ -294,6 +296,19 @@ class TestMemory:
         assert self.traced_peak(V.analyze_batch, S) <= 6 * S.nbytes
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
 
+    def test_build_keeps_one_table_row_per_class(self):
+        # sym:6 at every k is 720 rows of 60 classes; tables copied to every
+        # row held 3.85x after the build
+        group = build_group("sym:6")
+        tracemalloc.start()
+        try:
+            batch = V.GroupBatch.build(group, V.exponents_for(group, None))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert batch.rep.size == 60
+        assert held <= 1.5 * batch.S.nbytes
+
     def test_sym_power_map_fills_its_output_in_place(self):
         # the gather writes into its own index array, not into a second R x n one
         group = build_group("sym:6")
@@ -313,14 +328,28 @@ def every_row_analysed(batch):
     return V.GroupBatch(batch.group, batch.ks, batch.kn, batch.S, V.analyze_batch(batch.S))
 
 
+def tables_at(m, rows):
+    """The tables of ``m``'s rows ``rows``, as ``analyze_batch`` gives them
+    on those rows alone: components in the order of ``rows``, renumbered."""
+    comps = [np.flatnonzero(m.comp_row == r) for r in rows.tolist()]
+    comp = np.concatenate([m.comp_row[:0], *comps])
+    comp_row = np.repeat(np.arange(rows.size), [c.size for c in comps])
+    tables = {name: getattr(m, name)[rows] for name in ("degrees", "fixed_count", "code")}
+    tables.update({name: getattr(m, name)[comp] for name in ("comp_vertices", "comp_edges", "comp_cycle_len")})
+    tables["comp_row"] = comp_row
+    tables["comp_least"] = m.comp_least[comp] - (m.comp_row[comp] - comp_row) * m.n
+    return tables
+
+
 def assert_same_metrics(got, expected, rep):
-    """Every field but ``code``, which stays one row per class: its rows are
-    the expected rows of the classes' representatives ``rep``."""
+    """Every per-row answer of ``got`` equals the every-row ``expected``'s on
+    every row; every table, one row per class, equals ``expected``'s rows at
+    the classes' representatives ``rep``."""
     assert got.n == expected.n
+    tables = tables_at(expected, rep)
     for f in fields(V.BatchMetrics)[1:]:
-        a, b = getattr(got, f.name), getattr(expected, f.name)
-        if f.name == "code":
-            b = b[rep]
+        a = getattr(got, f.name)
+        b = getattr(expected, f.name) if f.name in V._ROW_ANSWERS else tables[f.name]
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
 
 
@@ -380,6 +409,20 @@ class TestDeduplicatedBatch:
         # each row once per conflicting edge (two in this graph), in row order
         listed = [int(f.split("k=")[1].split(":")[0]) for f in check.failures if f != "..."]
         assert listed == [3, 3, 7, 7, 11]
+
+    def test_wrong_degree_in_a_class_row_fails_every_row_of_it(self):
+        # cyclic:12 has exponent 12: k = 5, 17 and 29 are one class, whose
+        # one row of degrees every row reads; at k = 5, 7 <-> 11 is an edge
+        group = build_group("cyclic:12")
+        batch = V.GroupBatch.build(group, np.array([5, 17, 29]))
+        assert batch.rep.tolist() == [0] and batch.row_class.tolist() == [0, 0, 0]
+        reference = every_row_analysed(batch)
+        batch.metrics.degrees[0, 7] += 1
+        reference.metrics.degrees[:, 7] += 1
+        got, expected = V.check_degrees(batch), V.check_degrees(reference)
+        assert (got.cells, got.failed_cells, got.failures) == (
+            expected.cells, expected.failed_cells, expected.failures)
+        assert got.failures == [f"group=cyclic:12 k={k}: expected deg(7) = 1, got 2" for k in (5, 17, 29)]
 
     def test_aperiodic_row_fails_period_alone(self, monkeypatch):
         # Row k = 10 of product:2x4 (k = 2 mod 4) relabelled by a swap of two
@@ -653,8 +696,9 @@ class TestSweepPlumbing:
         assert [b.group.spec for b in batches] == list(V.sweep_group_specs(spec))
         for b in batches:
             assert b.ks.tolist() == V.exponents_for(b.group, 4).tolist()
-        # a group without exponents yields no batch
-        assert list(V.sweep_batches(V.SweepSpec(("cyclic",), 5, k_max=1))) == []
+        # the least k_max, 2, gives every group, order 1 included, its k = 2
+        batches = V.sweep_batches(V.SweepSpec(("cyclic",), 3, k_max=2))
+        assert [b.ks.tolist() for b in batches] == [[2]] * 3
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -663,6 +707,9 @@ class TestSweepPlumbing:
             V.SweepSpec(("cyclic",), 5, theorems=("edges", "nope"))
         with pytest.raises(ValueError):
             V.SweepSpec(("cyclic",), 2, min_n=5)
+        for k_max in (1, 0, -3):
+            with pytest.raises(ValueError, match="k_max must be at least 2"):
+                V.SweepSpec(("cyclic",), 5, k_max=k_max)
 
     def test_run_verification_smoke(self):
         checks = V.run_verification(V.SweepSpec(("cyclic",), 30, theorems=("edges", "chair")))
