@@ -55,17 +55,17 @@ STAR_CASE_NONE = "not_star"
 
 
 class TheoremViolation(RuntimeError):
-    """A proven identity failed to hold; indicates an implementation bug."""
+    """A proven identity failed to hold (an implementation bug); ``exponents`` maps
+    each k whose own graph broke a per-k identity to that graph's message."""
+
+    def __init__(self, message: str, exponents: dict[int, str] | None = None):
+        super().__init__(message)
+        self.exponents = exponents or {}
 
 
 def _one_row(k: int, n: int) -> np.ndarray:
     """The normalised exponent array of a single scalar k (validates k >= 2)."""
     return np.array([normalize_exponent(k, n)], dtype=np.int64)
-
-
-def _distinct_orders(group: FiniteGroup) -> np.ndarray:
-    """The distinct element orders of the group, ascending."""
-    return np.array(list(group.order_census()), dtype=np.int64)
 
 
 # -- edge count ---------------------------------------------------------------
@@ -81,9 +81,7 @@ def edge_count_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     the census itself is broken.
     """
     n = group.order
-    census = group.order_census()
-    orders = np.array(list(census), dtype=np.int64)
-    counts = np.array(list(census.values()), dtype=np.int64)
+    orders, counts = group.census
     k1 = np.gcd(kn - 1, n)[:, None]
     k2 = np.gcd(kn * kn - 1, n)[:, None]
     fixed = (k1 % orders == 0) @ counts
@@ -168,7 +166,7 @@ def connectivity_rows(group: FiniteGroup, kn: np.ndarray) -> tuple[np.ndarray, n
     when it is, the diameter is at most twice the largest minimal such
     power over the elements.  The bound reads -1 on disconnected rows.
     """
-    exponents = covering_exponent_rows(_distinct_orders(group), kn)
+    exponents = covering_exponent_rows(group.census[0], kn)
     connected = (exponents >= 0).all(axis=1)
     return connected, np.where(connected, 2 * exponents.max(axis=1), -1)
 
@@ -201,7 +199,7 @@ def is_connected_cyclic_pi(n: int, k: int) -> bool:
 
 def clique_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     """omega = 3 iff some element order m > 3 has m | k^3-1 and m !| k-1."""
-    orders = _distinct_orders(group)
+    orders = group.census[0]
     m = orders[orders > 3]
     k = kn[:, None]
     return (((k**3 - 1) % m == 0) & ((k - 1) % m != 0)).any(axis=1)
@@ -254,17 +252,16 @@ def star_case_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     if group.order < 2:
         return np.full(len(kn), STAR_CASE_NONE)
     census = group.order_census()
-    orders = np.array(list(census), dtype=np.int64)
     z4 = (kn == 2) & (census == _CENSUS_Z4)
     q8 = ((kn == 2) | (kn == 6)) & (census == _CENSUS_Q8)
     case = np.where(q8, STAR_CASE_Q8, STAR_CASE_NONE)
     case = np.where(z4, STAR_CASE_Z4, case)
-    return np.where((kn[:, None] % orders == 0).all(axis=1), STAR_CASE_ALL_ORDERS, case)
+    return np.where((kn[:, None] % group.census[0] == 0).all(axis=1), STAR_CASE_ALL_ORDERS, case)
 
 
 def empty_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     """P(G, k) is edgeless iff every element order divides k - 1."""
-    return ((kn[:, None] - 1) % _distinct_orders(group) == 0).all(axis=1)
+    return ((kn[:, None] - 1) % group.census[0] == 0).all(axis=1)
 
 
 def is_empty_graph(group: FiniteGroup, k: int) -> bool:
@@ -279,7 +276,7 @@ def forest_criterion_rows(group: FiniteGroup, kn: np.ndarray) -> np.ndarray:
     conversely any cycle forces one.  For coprime k, ord_m(k) > 2 means
     k^2 != 1 (mod m).
     """
-    orders = _distinct_orders(group)
+    orders = group.census[0]
     m = orders[orders > 1]
     k = kn[:, None]
     return ~((np.gcd(k, m) == 1) & ((k * k - 1) % m != 0)).any(axis=1)
@@ -319,25 +316,20 @@ def component_count_cyclic(n: int, k: int) -> tuple[int, int, bool]:
     """(component count, tau(n), primitive-root criterion) for coprime (n, k).
 
     Raises ValueError unless gcd(n, k) = 1 (the bound is only claimed
-    there), and TheoremViolation if the count drops below tau(n) or the
-    equality fails to match the criterion.
+    there).  Otherwise runs the sweep's ``components`` check on the one-row
+    batch of Z_n at k, labelled by its normalised exponent, and raises
+    TheoremViolation with that check's counterexamples if the count drops
+    below tau(n) or its equality with tau(n) disagrees with the criterion.
     """
     if n < 1:
         raise ValueError("expects n >= 1")
     if math.gcd(n, k) != 1:
         raise ValueError(f"component bound requires gcd(n, k) = 1, got gcd({n}, {k}) != 1")
-    group = build_group(f"cyclic:{n}")
-    count = int(build_undirected(group, k).component_pass.roots.size)
-    tau_n = numth.tau(n)
-    criterion = bool(primitive_root_rows(n, _one_row(k, n))[0])
-    if count < tau_n:
-        raise TheoremViolation(f"P(Z_{n},{k}) has {count} components, below tau({n}) = {tau_n}")
-    if (count == tau_n) != criterion:
-        raise TheoremViolation(
-            f"P(Z_{n},{k}): component count {count} vs tau {tau_n} disagrees with "
-            f"the primitive-root criterion ({criterion})"
-        )
-    return count, tau_n, criterion
+    batch = verify.GroupBatch.build(build_group(f"cyclic:{n}"), _one_row(k, n))
+    check = verify.check_components(batch)
+    if not check.passed:
+        raise TheoremViolation("; ".join(check.failures))
+    return int(batch.metrics.comp_count[0]), numth.tau(n), bool(batch.primitive_root[0])
 
 
 @dataclass
@@ -359,8 +351,9 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
 
     For even n with n/2 odd (n >= 6): at k = n/2 the graph is two stars
     K_{1, n/2-1} centred at 0 and n/2 (evens attach to 0, odds to n/2);
-    at k = n/2 + 1 it is n/2 disjoint edges {a, a + n/2}.  A mismatch
-    raises TheoremViolation since both shapes are forced.
+    at k = n/2 + 1 it is n/2 disjoint edges {a, a + n/2}.  Both shapes are
+    forced, so a mismatch raises TheoremViolation, naming in ``exponents``
+    every k whose shape broke.
     """
     if n < 6 or n % 4 != 2:
         raise ValueError("requires even n with n/2 odd and n >= 6")
@@ -370,15 +363,15 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
     expected_stars = sorted(
         [(0, a) for a in range(2, n, 2)] + [(min(a, half), max(a, half)) for a in range(1, n, 2) if a != half]
     )
-    got_stars = build_undirected(group, half).edges()
-    if got_stars != expected_stars:
-        raise TheoremViolation(f"P(Z_{n},{half}) does not split into the two expected stars")
+    broken = {}
+    if build_undirected(group, half).edges() != expected_stars:
+        broken[half] = f"P(Z_{n},{half}) does not split into the two expected stars"
 
-    pairs = [(a, (a + half) % n) for a in range(1, n, 2)]
-    expected_matching = sorted((min(a, b), max(a, b)) for a, b in pairs)
-    got_matching = build_undirected(group, half + 1).edges()
-    if got_matching != expected_matching:
-        raise TheoremViolation(f"P(Z_{n},{half + 1}) is not the expected perfect matching")
+    expected_matching = [(a, a + half) for a in range(half)]
+    if build_undirected(group, half + 1).edges() != expected_matching:
+        broken[half + 1] = f"P(Z_{n},{half + 1}) is not the expected perfect matching"
+    if broken:
+        raise TheoremViolation("; ".join(broken.values()), broken)
 
     return HalfExponentCertificate(
         n=n,
@@ -387,7 +380,7 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
         star_leaf_count=half - 1,
         half_description=f"2*K_{{1,{half - 1}}}",
         k_half_plus_one=half + 1,
-        matching_pairs=sorted((min(a, b), max(a, b)) for a, b in pairs),
+        matching_pairs=expected_matching,
         matching_description=f"{half}*P_2",
     )
 
@@ -532,7 +525,7 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
         forest_criterion_holds=bool(batch.forest_criterion[0]),
         is_star=bool(m.star_shape[0]),
         star_criterion_case=str(batch.star_case[0]),
-        is_empty=bool(batch.empty_criterion[0]),
+        is_empty=bool(m.edge_count[0] == 0),
         is_perfect=not m.has_long_odd_cycle[0],
         cyclic=cyclic_extras,
         discrepancies=discrepancies,

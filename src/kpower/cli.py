@@ -13,9 +13,9 @@ true/false for switches, a list for repeatable flags).
 
 Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
 error, including a bad config value, a ``--k-max`` below 2, an ``--out``
-path that cannot be written and a sweep too large for memory (lower
-``--k-max``).  Output is deterministic; ``analyze`` adds a timestamp field
-unless --no-meta is given.
+path that cannot be written, a sweep that selects no group (a chair-only
+``verify`` needs none) and one too large for memory (lower ``--k-max``).
+Output is deterministic; ``analyze`` adds a timestamp unless --no-meta.
 """
 
 from __future__ import annotations

@@ -87,7 +87,6 @@ class FiniteGroup:
     _perm_array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
-    _census: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     # -- core operations ---------------------------------------------------
 
@@ -148,19 +147,24 @@ class FiniteGroup:
         self._check_index(x)
         return self.element_orders[x]
 
+    @cached_property
+    def census(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct element orders ascending, element count of each): read-only int64 arrays."""
+        counts = np.bincount(np.array(self.element_orders, dtype=np.int64))
+        orders = np.flatnonzero(counts)
+        counts = counts[orders]
+        orders.flags.writeable = counts.flags.writeable = False
+        return orders, counts
+
     def order_census(self) -> dict[int, int]:
-        """Map d -> number of elements of order d, keys ascending."""
-        if self._census is None:
-            census: dict[int, int] = {}
-            for o in self.element_orders:
-                census[o] = census.get(o, 0) + 1
-            self._census = dict(sorted(census.items()))
-        return dict(self._census)
+        """Map d -> number of elements of order d, keys ascending (a fresh dict)."""
+        orders, counts = self.census
+        return dict(zip(orders.tolist(), counts.tolist()))
 
     @cached_property
     def exponent(self) -> int:
         """exp(G), the lcm of the element orders: x**k depends on k only mod exp(G)."""
-        return math.lcm(*self.order_census())
+        return math.lcm(*self.census[0].tolist())
 
     def element_name(self, x: int) -> str:
         """Canonical display name for an element index."""

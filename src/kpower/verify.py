@@ -361,10 +361,6 @@ class GroupBatch:
         return analysis.star_case_rows(self.group, self.kn)
 
     @cached_property
-    def empty_criterion(self) -> np.ndarray:
-        return analysis.empty_criterion_rows(self.group, self.kn)
-
-    @cached_property
     def cyclic_pi(self) -> np.ndarray:
         """Cyclic groups only: ``analysis.cyclic_pi_rows``."""
         return analysis.cyclic_pi_rows(self.group.order, self.kn)
@@ -424,27 +420,32 @@ class TheoremCheck:
             self.note(f)
 
 
-def _mark_rows(check: TheoremCheck, batch: GroupBatch, rows: np.ndarray) -> None:
-    check.mark((batch.group.spec, k) for k in batch.ks[rows].tolist())
+def _fail_rows(check: TheoremCheck, batch: GroupBatch, rows, expected, got) -> None:
+    """Fail the cell of each row in ``rows``, once per cell, listing the first MAX_COUNTEREXAMPLES.
 
-
-def _report_mismatches(check: TheoremCheck, batch: GroupBatch, bad_rows: np.ndarray,
-                       expected, got) -> None:
-    """Fail every row in ``bad_rows``; ``expected`` and ``got`` are per-row
-    arrays or one value for all rows."""
-    if not bad_rows.size:
+    ``expected`` and ``got`` are one value for all rows, or lists or arrays
+    whose i-th entry describes ``rows[i]`` (only the listed rows' are read).  A
+    ``TheoremViolation`` as ``got`` is a closed form that broke its own
+    invariant, listed once for the whole group.
+    """
+    if not len(rows):
         return
-    _mark_rows(check, batch, bad_rows)
-    for r in bad_rows[:MAX_COUNTEREXAMPLES]:
-        e = expected[r] if isinstance(expected, np.ndarray) else expected
-        g = got[r] if isinstance(got, np.ndarray) else got
-        check.fail(batch.group, int(batch.ks[r]), e, g)
+    spec = batch.group.spec
+    ks = batch.ks[rows].tolist()
+    check.mark((spec, k) for k in ks)
+    if isinstance(got, analysis.TheoremViolation):
+        check.note(f"group={spec}: {got}")
+        return
+    for i, k in enumerate(ks[:MAX_COUNTEREXAMPLES]):
+        e, g = (v[i] if isinstance(v, (list, np.ndarray)) else v for v in (expected, got))
+        check.note(f"group={spec} k={k}: expected {e}, got {g}")
 
 
 def _check_rows(check: TheoremCheck, batch: GroupBatch, expected: np.ndarray,
                 got: np.ndarray) -> TheoremCheck:
     """Report every row where the closed form and the graph side differ."""
-    _report_mismatches(check, batch, np.flatnonzero(expected != got), expected, got)
+    bad = np.flatnonzero(expected != got)
+    _fail_rows(check, batch, bad, expected[bad], got[bad])
     return check
 
 
@@ -462,12 +463,11 @@ def check_edges(batch: GroupBatch) -> TheoremCheck:
     try:
         expected = analysis.edge_count_rows(batch.group, batch.kn)
     except analysis.TheoremViolation as exc:
-        check.note(f"group={batch.group.spec}: {exc}")
-        _mark_rows(check, batch, np.arange(len(batch.ks)))
+        _fail_rows(check, batch, np.arange(len(batch.ks)), None, exc)
     else:
         _check_rows(check, batch, expected, got)
     over = np.flatnonzero(got > batch.group.order - 1)
-    _report_mismatches(check, batch, over, batch.group.order - 1, got)
+    _fail_rows(check, batch, over, batch.group.order - 1, got[over])
     return check
 
 
@@ -488,11 +488,10 @@ def check_degrees(batch: GroupBatch) -> TheoremCheck:
     formula = analysis.cyclic_degree_rows(n, batch.kn[batch.rep], np.arange(n, dtype=np.int64))
     mismatch = formula != degrees
     bad_rows = np.flatnonzero(mismatch.any(axis=1)[batch.row_class])
-    _mark_rows(check, batch, bad_rows)
-    for r in bad_rows[:MAX_COUNTEREXAMPLES].tolist():
-        c = batch.row_class[r]
-        v = int(np.flatnonzero(mismatch[c])[0])
-        check.fail(group, int(batch.ks[r]), f"deg({v}) = {int(formula[c, v])}", int(degrees[c, v]))
+    listed = batch.row_class[bad_rows[:MAX_COUNTEREXAMPLES]]
+    v = mismatch[listed].argmax(axis=1)  # each listed row's first mismatched vertex
+    _fail_rows(check, batch, bad_rows, [f"deg({a}) = {b}" for a, b in zip(v, formula[listed, v])],
+               degrees[listed, v])
     return check
 
 
@@ -510,12 +509,12 @@ def check_connectivity(batch: GroupBatch) -> TheoremCheck:
         _check_rows(check, batch, batch.cyclic_pi, got)
     # a connected k-power graph is a tree
     tree_bad = np.flatnonzero(got & (batch.metrics.edge_count != n - 1))
-    _report_mismatches(check, batch, tree_bad, n - 1, batch.metrics.edge_count)
+    _fail_rows(check, batch, tree_bad, n - 1, batch.metrics.edge_count[tree_bad])
 
     # a row that is no tree has no diameter and reads -1, below every bound
-    diam = batch.diameters
-    for r in np.flatnonzero(diam > bound).tolist():
-        check.fail(group, int(batch.ks[r]), f"diameter <= {int(bound[r])}", int(diam[r]))
+    over = np.flatnonzero(batch.diameters > bound)
+    _fail_rows(check, batch, over, [f"diameter <= {b}" for b in bound[over[:MAX_COUNTEREXAMPLES]]],
+               batch.diameters[over])
     return check
 
 
@@ -533,7 +532,7 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("chromatic", cells=len(batch.ks))
     chi = batch.metrics.chi
     over = np.flatnonzero(chi > 3)
-    _report_mismatches(check, batch, over, "<= 3", chi)
+    _fail_rows(check, batch, over, "<= 3", chi[over])
     rep, row_class = batch.rep, batch.row_class
     S = _rep_rows(batch.S, rep)
     U, n = S.shape
@@ -550,17 +549,15 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     per_class = np.zeros(U, dtype=np.int64)
     per_class[classes] = conflicts
     rows = np.repeat(np.arange(len(batch.ks)), per_class[row_class])
-    _report_mismatches(check, batch, rows, "proper colouring", "conflict")
+    _fail_rows(check, batch, rows, "proper colouring", "conflict")
     # Exactly chi colours: every colour lies in 1..chi, and each of them occurs.
     low, high = colors_mat.min(axis=1), colors_mat.max(axis=1)
     used = sum((colors_mat == c).any(axis=1) for c in range(int(low.min()), int(high.max()) + 1))
     exact = (low[row_class] == 1) & (high[row_class] == chi) & (used[row_class] == chi)
     bad = np.flatnonzero(~exact)
-    _mark_rows(check, batch, bad)
-    for r in bad[:MAX_COUNTEREXAMPLES].tolist():
-        c = row_class[r]
-        check.fail(batch.group, int(batch.ks[r]), f"colours 1..{int(chi[r])}",
-                   f"{int(used[c])} colours in {int(low[c])}..{int(high[c])}")
+    listed = row_class[bad[:MAX_COUNTEREXAMPLES]]
+    _fail_rows(check, batch, bad, [f"colours 1..{c}" for c in chi[bad[:MAX_COUNTEREXAMPLES]]],
+               [f"{u} colours in {a}..{b}" for u, a, b in zip(used[listed], low[listed], high[listed])])
     return check
 
 
@@ -577,7 +574,8 @@ def check_star(batch: GroupBatch) -> TheoremCheck:
 
 def check_empty(batch: GroupBatch) -> TheoremCheck:
     check = TheoremCheck("empty", cells=len(batch.ks))
-    return _check_rows(check, batch, batch.empty_criterion, batch.metrics.edge_count == 0)
+    criterion = analysis.empty_criterion_rows(batch.group, batch.kn)
+    return _check_rows(check, batch, criterion, batch.metrics.edge_count == 0)
 
 
 def check_components(batch: GroupBatch) -> TheoremCheck:
@@ -596,9 +594,9 @@ def check_components(batch: GroupBatch) -> TheoremCheck:
     criterion = coprime & batch.primitive_root
     count = batch.metrics.comp_count
     below = np.flatnonzero(coprime & (count < tau_n))
-    _report_mismatches(check, batch, below, f">= tau {tau_n}", count)
+    _fail_rows(check, batch, below, f">= tau {tau_n}", count[below])
     bad = np.flatnonzero(coprime & ((count == tau_n) != criterion))
-    _report_mismatches(check, batch, bad, criterion, count == tau_n)
+    _fail_rows(check, batch, bad, criterion[bad], count[bad] == tau_n)
     return check
 
 
@@ -639,9 +637,8 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     keys = (rows[at] * n + np.minimum(xs, ys)) * n + np.maximum(xs, ys)
     keys.sort()
     rows, lo, hi = keys // (n * n), keys // n % n, keys % n
-    _mark_rows(check, batch, rows)
-    for r, u, v in zip(rows[:MAX_COUNTEREXAMPLES].tolist(), lo.tolist(), hi.tolist()):
-        check.fail(group, int(batch.ks[r]), "order-homogeneous edge", f"({u},{v})")
+    _fail_rows(check, batch, rows, "order-homogeneous edge",
+               [f"({u},{v})" for u, v in zip(lo[:MAX_COUNTEREXAMPLES], hi[:MAX_COUNTEREXAMPLES])])
     return check
 
 
@@ -656,7 +653,8 @@ def check_thm16(batch: GroupBatch) -> TheoremCheck:
     try:
         analysis.theorem16_structure(n)
     except analysis.TheoremViolation as exc:
-        check.fail(group, n // 2, "certified structure", str(exc))
+        for k, message in (exc.exponents or {n // 2: str(exc)}).items():  # each broken shape's cell
+            check.fail(group, k, "certified structure", message)
     return check
 
 
@@ -670,9 +668,9 @@ def check_perfect(batch: GroupBatch) -> TheoremCheck:
     # required for chi = 3.
     implied_imperfect = (m.chi == 3) & (m.omega != 3)
     bad = np.flatnonzero(perfect & implied_imperfect)
-    _report_mismatches(check, batch, bad, "imperfect", "perfect")
+    _fail_rows(check, batch, bad, "imperfect", "perfect")
     bad2 = np.flatnonzero(~perfect & (m.chi < 3))
-    _report_mismatches(check, batch, bad2, "chi = 3", batch.metrics.chi)
+    _fail_rows(check, batch, bad2, "chi = 3", m.chi[bad2])
     return check
 
 
@@ -685,13 +683,13 @@ def check_period(batch: GroupBatch) -> TheoremCheck:
     """
     check = TheoremCheck("period", cells=len(batch.ks))
     residues = batch.ks % batch.group.exponent
-    _mark_rows(check, batch, batch.aperiodic)
+    expected, got = [], []
     for r in batch.aperiodic[:MAX_COUNTEREXAMPLES].tolist():
         first = int(np.flatnonzero(residues == residues[r])[0])
         x = int(np.flatnonzero(batch.S[r] != batch.S[first])[0])
-        check.fail(batch.group, int(batch.ks[r]),
-                   f"{x}^k = {int(batch.S[first, x])} as at k={int(batch.ks[first])}",
-                   int(batch.S[r, x]))
+        expected.append(f"{x}^k = {batch.S[first, x]} as at k={batch.ks[first]}")
+        got.append(batch.S[r, x])
+    _fail_rows(check, batch, batch.aperiodic, expected, got)
     return check
 
 
@@ -769,6 +767,9 @@ class SweepSpec:
             raise ValueError("empty parameter range")
         if self.k_max is not None and self.k_max < 2:
             raise ValueError("k_max must be at least 2")
+        # a chair-only spec builds no batch, so it needs no group
+        if set(self.theorems) & set(_BATCH_CHECKS) and next(sweep_group_specs(self), None) is None:
+            raise ValueError("the sweep selects no group (sym takes n <= 8, quaternion n >= 2, product factors >= 2)")
 
 
 def sweep_group_specs(spec: SweepSpec):

@@ -350,6 +350,27 @@ class TestComponentCountCyclic:
     def test_trivial_group(self):
         assert component_count_cyclic(1, 5) == (1, 1, True)
 
+    def test_count_fault_raises_the_components_check_text(self, monkeypatch):
+        # P(Z31, 2) has 7 components; planted as 1, below tau(31) = 2
+        real = verify.analyze_batch
+
+        def planted(S):
+            m = real(S)
+            m.comp_count[:] = 1
+            return m
+
+        monkeypatch.setattr(verify, "analyze_batch", planted)
+        with pytest.raises(TheoremViolation) as info:
+            component_count_cyclic(31, 2)
+        assert str(info.value) == "group=cyclic:31 k=2: expected >= tau 2, got 1"
+
+    def test_criterion_fault_raises_the_components_check_text(self, monkeypatch):
+        # k = 33 is k = 2 mod 31: the batch row is labelled by the normalised k
+        monkeypatch.setattr(analysis, "primitive_root_rows", lambda n, kn: np.ones(len(kn), dtype=bool))
+        with pytest.raises(TheoremViolation) as info:
+            component_count_cyclic(31, 33)
+        assert str(info.value) == "group=cyclic:31 k=2: expected True, got False"
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             component_count_cyclic(6, 4)
@@ -530,6 +551,16 @@ class TestAnalyze:
         assert report.forest_criterion_holds
         assert not report.is_forest
         assert report.discrepancies == ["forest: group=cyclic:31 k=2: expected True, got False"]
+
+    def test_is_empty_reads_the_graph(self, monkeypatch):
+        # P(Z31, 32) is edgeless and P(Z31, 2) is not; the planted criterion
+        # says the opposite, which only the discrepancy shows
+        monkeypatch.setattr(analysis, "empty_criterion_rows", lambda group, kn: kn == 2)
+        for k, empty in ((2, False), (32, True)):
+            report = analyze(Z31, k)
+            assert report.is_empty is empty
+            assert report.discrepancies == [f"empty: group=cyclic:31 k={k % 31 or 31}: "
+                                            f"expected {not empty}, got {empty}"]
 
     def test_cyclic_degree_check_runs(self, monkeypatch):
         real = analysis.cyclic_degree_rows

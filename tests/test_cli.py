@@ -129,6 +129,11 @@ class TestVerify:
         assert code == 0
         assert out.count("theorem ") == 15
 
+    def test_chair_only_needs_no_group(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "sym", "--min-n", "9", "--max-n", "9",
+                             "--theorem", "chair")
+        assert (code, out, err) == (0, "theorem chair: 9 cells, all pass\n", "")
+
     def test_component_theorem(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "60",
                            "--theorem", "components")
@@ -246,6 +251,7 @@ class TestSweep:
 
 
 UNWRITABLE = "missing-dir/out.txt"
+NO_GROUP = "the sweep selects no group (sym takes n <= 8, quaternion n >= 2, product factors >= 2)"
 
 USAGE_ERRORS = [
     (["analyze", "--group", "bogus:3", "--k", "2"],
@@ -260,6 +266,11 @@ USAGE_ERRORS = [
     (["sweep", "--family", "cyclic", "--max-n", "2", "--min-n", "3"], "empty parameter range"),
     (["verify", "--family", "cyclic", "--max-n", "5", "--k-max", "1"], "k_max must be at least 2"),
     (["sweep", "--family", "cyclic", "--max-n", "5", "--k-max", "0"], "k_max must be at least 2"),
+    (["verify", "--family", "sym", "--min-n", "9", "--max-n", "9"], NO_GROUP),
+    (["verify", "--family", "quaternion", "--max-n", "1"], NO_GROUP),
+    (["verify", "--family", "sym", "--min-n", "9", "--max-n", "9", "--theorem", "edges"], NO_GROUP),
+    (["sweep", "--family", "product", "--max-n", "1"], NO_GROUP),
+    (["sweep", "--family", "quaternion", "--max-n", "1"], NO_GROUP),
     (["analyze", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
     (["export", "--group", "cyclic:4", "--k", "2", "-o", UNWRITABLE], None),
     (["chair", "--n", "4", "-o", UNWRITABLE], None),

@@ -182,6 +182,20 @@ class TestElementOrders:
     def test_z12_census_frozen(self):
         assert build_group("cyclic:12").order_census() == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
+    def test_census_is_one_cached_pair_of_arrays(self, small_groups):
+        for g in small_groups:
+            orders, counts = g.census
+            assert g.census[0] is orders and g.census[1] is counts
+            assert orders.dtype == counts.dtype == np.int64
+            assert not orders.flags.writeable and not counts.flags.writeable
+            expected_orders, expected_counts = np.unique(g.element_orders, return_counts=True)
+            assert orders.tolist() == expected_orders.tolist()
+            assert counts.tolist() == expected_counts.tolist()
+            census = g.order_census()
+            assert census == dict(zip(orders.tolist(), counts.tolist()))
+            census[1] = 0  # a fresh dict each call
+            assert g.order_census()[1] == 1
+
     @pytest.mark.parametrize("spec", (
         "cyclic:1", "cyclic:2", "cyclic:12", "dihedral:1", "dihedral:2", "dihedral:15",
         "quaternion:2", "quaternion:3", *(f"sym:{m}" for m in range(1, 7)),

@@ -589,6 +589,55 @@ class TestChecks:
         assert len(checks["connectivity"].failures) == 2
         assert all(c.failed_cells == 0 for c in checks.values() if c.passed)
 
+    def test_diameter_above_the_bound_fails_its_cell(self, monkeypatch):
+        # the bound halved on connected rows: each tree of cyclic:8 (k = 2,
+        # 4, 6, 8, diameters 4, 3, 4, 2) is then above it
+        real = V.analysis.connectivity_rows
+
+        def planted(group, kn):
+            connected, bound = real(group, kn)
+            return connected, np.where(connected, bound // 2, bound)
+
+        monkeypatch.setattr(V.analysis, "connectivity_rows", planted)
+        group = build_group("cyclic:8")
+        check = V.check_connectivity(V.GroupBatch.build(group, V.exponents_for(group, None)))
+        assert check.failed_cells == 4
+        assert check.failures == [
+            "group=cyclic:8 k=2: expected diameter <= 3, got 4",
+            "group=cyclic:8 k=4: expected diameter <= 2, got 3",
+            "group=cyclic:8 k=6: expected diameter <= 3, got 4",
+            "group=cyclic:8 k=8: expected diameter <= 1, got 2",
+        ]
+
+    def test_period_names_the_first_differing_vertex(self, monkeypatch):
+        # in Z_4, k = 6 repeats k = 2 (x -> 2x); plant 1 -> 3 in the k = 6 row
+        real = V.successor_rows
+
+        def planted(group, ks):
+            S = real(group, ks)
+            S[1, 1] = 3
+            return S
+
+        monkeypatch.setattr(V, "successor_rows", planted)
+        batch = V.GroupBatch.build(build_group("cyclic:4"), np.array([2, 6], dtype=np.int64))
+        check = V.check_period(batch)
+        assert check.failed_cells == 1
+        assert check.failures == ["group=cyclic:4 k=6: expected 1^k = 2 as at k=2, got 3"]
+
+    @pytest.mark.parametrize("broken", [(5,), (6,), (5, 6)])
+    def test_thm16_fails_the_cell_of_each_broken_shape(self, monkeypatch, broken):
+        # Z_10: two stars at k = 5, a perfect matching at k = 6; a broken
+        # shape is planted as the graph of the next exponent
+        real = V.analysis.build_undirected
+        monkeypatch.setattr(V.analysis, "build_undirected",
+                            lambda group, k: real(group, k + 1 if k in broken else k))
+        check = V.check_thm16(V.GroupBatch.build(build_group("cyclic:10"), np.arange(2, 4)))
+        messages = {5: "P(Z_10,5) does not split into the two expected stars",
+                    6: "P(Z_10,6) is not the expected perfect matching"}
+        assert (check.cells, check.failed_cells) == (2, len(broken))
+        assert check.failures == [
+            f"group=cyclic:10 k={k}: expected certified structure, got {messages[k]}" for k in broken]
+
     def test_order_adjacency_lists_each_edge_once_in_order(self):
         # row k=3: 1 <-> 2 (orders 8 and 4) is one edge, and the arc 6 -> 0
         # (orders 4 and 1) lists first as (0,6); row k=5: the arc 7 -> 4
@@ -710,6 +759,18 @@ class TestSweepPlumbing:
         for k_max in (1, 0, -3):
             with pytest.raises(ValueError, match="k_max must be at least 2"):
                 V.SweepSpec(("cyclic",), 5, k_max=k_max)
+
+    @pytest.mark.parametrize("families, min_n, max_n", [
+        (("sym",), 9, 9), (("quaternion",), 1, 1), (("product",), 1, 1), (("quaternion", "product"), 1, 1),
+    ])
+    def test_spec_selecting_no_group_rejected(self, monkeypatch, families, min_n, max_n):
+        monkeypatch.setattr(V, "build_group", lambda spec: pytest.fail("a group was built"))
+        with pytest.raises(ValueError, match="the sweep selects no group"):
+            V.SweepSpec(families, max_n, min_n=min_n)
+        with pytest.raises(ValueError, match="the sweep selects no group"):
+            V.SweepSpec(families, max_n, min_n=min_n, theorems=("edges", "chair"))
+        # the chair check needs no group
+        assert V.run_verification(V.SweepSpec(families, max_n, min_n=min_n, theorems=("chair",)))[0].passed
 
     def test_run_verification_smoke(self):
         checks = V.run_verification(V.SweepSpec(("cyclic",), 30, theorems=("edges", "chair")))
