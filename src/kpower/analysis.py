@@ -33,10 +33,11 @@ import numpy as np
 from . import numth, verify
 from .graphs import (
     KPowerGraph,
+    SHAPES,
     build_undirected,
-    component_shape,
     diameter,  # unused here; perfbench/tests pins this binding
     normalize_exponent,
+    shape_codes,
     shape_tag,
 )
 from .groups import FiniteGroup, build_group
@@ -451,12 +452,10 @@ class AnalysisReport:
 def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:
     """Shape-tag counts of a one-row batch, in order of each component's least vertex."""
     shapes: dict[str, int] = {}
-    order = np.argsort(m.comp_least).tolist()
-    vertices = m.comp_vertices.tolist()
-    edges = m.comp_edges.tolist()
-    cycle = m.comp_cycle_len.tolist()  # directed: 1 = fixed point, 2 = mutual pair
-    for c in order:
-        tag = shape_tag(*component_shape(vertices[c], edges[c], cycle[c]))
+    codes = shape_codes(m.comp_vertices, m.comp_cycle_len).tolist()
+    cycle = m.comp_cycle_len.tolist()
+    for c in np.argsort(m.comp_least).tolist():
+        tag = shape_tag(SHAPES[codes[c]], cycle[c])
         shapes[tag] = shapes.get(tag, 0) + 1
     return shapes
 

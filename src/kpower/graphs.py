@@ -40,11 +40,10 @@ import numpy as np
 
 from .groups import FiniteGroup, successor_rows
 
-SHAPE_ISOLATED = "isolated"
-SHAPE_K2 = "k2"
-SHAPE_CYCLE = "cycle"
-SHAPE_TREE = "tree"
-SHAPE_UNICYCLIC = "unicyclic"
+# A component's shape is its index here (`shape_codes`); the shapes below
+# SHAPE_TREE are those of the paper's `shapes` theorem.
+SHAPES = ("isolated", "k2", "cycle", "tree", "unicyclic")
+SHAPE_TREE = SHAPES.index("tree")
 
 
 def normalize_exponent(k: int, order: int) -> int:
@@ -124,7 +123,7 @@ class ComponentProfile:
 
 def shape_tag(shape: str, cycle_length: int | None) -> str:
     """Compact tag such as 'cycle(5)' or 'tree'."""
-    if shape in (SHAPE_CYCLE, SHAPE_UNICYCLIC):
+    if shape in ("cycle", "unicyclic"):
         return f"{shape}({cycle_length})"
     return shape
 
@@ -165,7 +164,6 @@ class ComponentPass(NamedTuple):
     """`_components` on a functional graph, components numbered in ascending
     order of their cycles' least vertices."""
 
-    roots: np.ndarray  # each cycle's least vertex, ascending
     comp: np.ndarray  # every vertex's component number
     cycle_len: np.ndarray  # each component's directed cycle length
     least: np.ndarray  # each component's least vertex
@@ -266,21 +264,20 @@ def _components(succ: np.ndarray) -> ComponentPass:
     cycle = (code == 0).nonzero()[0]
     code[cycle] = odd
     del odd
-    uniq = cycle[root]
+    comp_least = cycle[root]
     spare[root] = np.arange(root.size, dtype=np.int64)
     cycle_dense = spare.take(label)
     del root, label, spare
     comp_dense = np.empty(N, dtype=np.int64)
     comp_dense[cycle] = cycle_dense
     del cycle
-    comp_cycle_len = np.bincount(cycle_dense, minlength=uniq.size)
+    comp_cycle_len = np.bincount(cycle_dense, minlength=comp_least.size)
     del cycle_dense
-    comp_least = uniq.copy()
     for level in reversed(levels):
         dense = comp_dense[succ[level]]
         comp_dense[level] = dense
         np.minimum.at(comp_least, dense, level)
-    return ComponentPass(uniq, comp_dense, comp_cycle_len, comp_least, code)
+    return ComponentPass(comp_dense, comp_cycle_len, comp_least, code)
 
 
 def components(gr: KPowerGraph) -> list[ComponentProfile]:
@@ -293,31 +290,33 @@ def components(gr: KPowerGraph) -> list[ComponentProfile]:
     comp, cycle_len = cp.comp, cp.cycle_len
     sizes = np.bincount(comp, minlength=cycle_len.size)
     edges = np.bincount(comp[kept_arcs(gr.successor)], minlength=cycle_len.size)
+    shapes = shape_codes(sizes, cycle_len).tolist()
     # A stable sort keeps each component's vertices in ascending order.
     members = np.argsort(comp, kind="stable").tolist()
     ends = np.cumsum(sizes).tolist()
     sizes, edges, cycle_len = sizes.tolist(), edges.tolist(), cycle_len.tolist()
     profiles = []
     for c in np.argsort(cp.least).tolist():
-        shape, cycle = component_shape(sizes[c], edges[c], cycle_len[c])
+        shape = SHAPES[shapes[c]]
+        cycle = cycle_len[c] if shape in ("cycle", "unicyclic") else None
         vertices = members[ends[c] - sizes[c]:ends[c]]
         profiles.append(ComponentProfile(vertices, sizes[c], edges[c], shape, cycle))
     return profiles
 
 
-def component_shape(vertex_count: int, edge_count: int, cycle_length: int) -> tuple[str, int | None]:
-    """A component's shape and the length of its undirected cycle, if any.
+def shape_codes(vertex_count: np.ndarray, cycle_len: np.ndarray) -> np.ndarray:
+    """Each component's shape, as its index into `SHAPES`.
 
-    ``cycle_length`` is the length of the component's directed cycle: a
-    fixed point (1) or a mutual pair (2) closes no undirected cycle.
+    ``cycle_len`` is the length of a component's directed cycle.  A fixed
+    point (1) or a mutual pair (2) closes no undirected cycle, so its
+    component is a tree, isolated with one vertex and K2 with two.  A longer
+    one is a cycle, unicyclic when the component has more vertices.
     """
-    if vertex_count == 1:
-        return SHAPE_ISOLATED, None
-    if vertex_count == 2 and edge_count == 1:
-        return SHAPE_K2, None
-    if cycle_length < 3:
-        return SHAPE_TREE, None
-    return (SHAPE_CYCLE if vertex_count == cycle_length else SHAPE_UNICYCLIC), cycle_length
+    codes = np.where(vertex_count > cycle_len, SHAPES.index("unicyclic"), SHAPES.index("cycle"))
+    codes[cycle_len < 3] = SHAPE_TREE
+    codes[vertex_count == 2] = SHAPES.index("k2")
+    codes[vertex_count == 1] = SHAPES.index("isolated")
+    return codes
 
 
 def distances_from(gr: KPowerGraph, v: int) -> list[int | None]:

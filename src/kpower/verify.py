@@ -78,7 +78,7 @@ import numpy as np
 
 from . import analysis, numth
 from .chair import solve_chairs
-from .graphs import KPowerGraph, _components, diameter, kept_arcs
+from .graphs import SHAPE_TREE, KPowerGraph, _components, diameter, kept_arcs, shape_codes
 from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 MAX_COUNTEREXAMPLES = 5
@@ -100,13 +100,12 @@ class BatchMetrics:
     n: int
     edge_count: np.ndarray  # row: (R,)
     degrees: np.ndarray  # graph: (U, n)
-    fixed_count: np.ndarray  # graph: (U,)
     comp_count: np.ndarray  # row: (R,)
     connected: np.ndarray  # row: (R,) bool
     has_cycle: np.ndarray  # row: some component cycle of length >= 3
     has_long_odd_cycle: np.ndarray  # row: odd length >= 5
     omega: np.ndarray  # row: clique number: 1 edgeless, 3 with a triangle, else 2
-    all_shapes_basic: np.ndarray  # row: every component isolated/K2/cycle
+    all_shapes_basic: np.ndarray  # row: no component is a tree or unicyclic (`graphs.shape_codes`)
     star_shape: np.ndarray  # row
     chi: np.ndarray  # row: 1/2/3 from cycle parity
     comp_row: np.ndarray  # graph: per-component arrays; the analysed row of each
@@ -127,9 +126,9 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     blocks = [_analyze_block(S[first:first + step], first, degrees[first:first + step])
               for first in range(0, max(R, 1), step)]
     # A uint8 block of codes joined to a uint16 one is promoted, as in one pass.
-    (comp_row, comp_vertices, comp_edges, comp_cycle_len, comp_least, fixed_count, edge_count,
-     code) = map(np.concatenate, zip(*blocks))
+    comp_vertices, comp_edges, comp_cycle_len, comp_least, edge_count, code = map(np.concatenate, zip(*blocks))
     del blocks
+    comp_row = comp_least // n  # a component's least vertex lies in its own row
 
     comp_count = np.bincount(comp_row, minlength=R)
     connected = comp_count == 1
@@ -140,12 +139,7 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
     has_cycle = _row_any(comp_row[undirected_cycle], R)
     has_odd_cycle = _row_any(comp_row[odd], R)
     has_long_odd_cycle = _row_any(comp_row[odd_long], R)
-
-    isolated = comp_vertices == 1
-    pair = (comp_vertices == 2) & (comp_edges == 1)
-    pure_cycle = undirected_cycle & (comp_vertices == comp_cycle_len)
-    basic = isolated | pair | pure_cycle
-    all_shapes_basic = np.bincount(comp_row[~basic], minlength=R) == 0
+    all_shapes_basic = ~_row_any(comp_row[shape_codes(comp_vertices, comp_cycle_len) >= SHAPE_TREE], R)
 
     if n >= 2:
         star_shape = (edge_count == n - 1) & (degrees.max(axis=1) == n - 1)
@@ -163,7 +157,6 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
         n=n,
         edge_count=edge_count,
         degrees=degrees,
-        fixed_count=fixed_count,
         comp_count=comp_count,
         connected=connected,
         has_cycle=has_cycle,
@@ -184,9 +177,8 @@ def analyze_batch(S: np.ndarray) -> BatchMetrics:
 def _analyze_block(S: np.ndarray, first: int, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows ``first``.. of a batch, analysed as one disjoint functional
     graph on their R*n vertices: their components in ascending order of
-    root, with the rows and flat ids of the whole batch, then their fixed
-    point counts, edge counts and codes.  Their degrees are written into
-    ``degrees``."""
+    root, with the flat ids of the whole batch, then their edge counts and
+    codes.  Their degrees are written into ``degrees``."""
     R, n = S.shape
     N = R * n
     succ = S.astype(np.int64)
@@ -195,12 +187,11 @@ def _analyze_block(S: np.ndarray, first: int, degrees: np.ndarray) -> tuple[np.n
 
     # The pass runs first, so the code it returns, which outlives the block,
     # is allocated before any temporary of the block (see `_components`).
-    uniq, comp_dense, comp_cycle_len, comp_least, code = _components(succ)
+    comp_dense, comp_cycle_len, comp_least, code = _components(succ)
     comp_least += first * n
-    fixed_count = (S == np.arange(n)).sum(axis=1)
     # The kept arcs are the edges, one arc each (`graphs.kept_arcs`).
     keep = kept_arcs(succ)
-    C = uniq.size
+    C = comp_cycle_len.size
     comp_vertices = np.bincount(comp_dense, minlength=C)
     # Each kept arc is one edge of its tail's component.
     comp_edges = np.bincount(comp_dense[keep], minlength=C)
@@ -218,10 +209,7 @@ def _analyze_block(S: np.ndarray, first: int, degrees: np.ndarray) -> tuple[np.n
     arcs //= n
     edge_count = np.bincount(arcs, minlength=R)
     del arcs
-
-    comp_row = uniq // n
-    comp_row += first
-    return comp_row, comp_vertices, comp_edges, comp_cycle_len, comp_least, fixed_count, edge_count, code
+    return comp_vertices, comp_edges, comp_cycle_len, comp_least, edge_count, code
 
 
 def _row_any(rows: np.ndarray, R: int) -> np.ndarray:
@@ -339,13 +327,17 @@ class GroupBatch:
         """Each tree row's diameter, read off its class's row of the code; -1 on every other row.
 
         A tree is a connected row with n - 1 edges; ``check_connectivity``
-        fails a connected row with any other count.
+        fails a connected row with any other count, and a tree row whose
+        code ``graphs.diameter`` rejects, which reads -1 too.
         """
         m = self.metrics
         out = np.full(self.rep.size, -1, dtype=np.int64)
         tree = m.connected & (m.edge_count == self.group.order - 1)
         for c in np.flatnonzero(tree[self.rep]).tolist():
-            out[c] = diameter(self.graph_for_row(int(self.rep[c])))
+            try:
+                out[c] = diameter(self.graph_for_row(int(self.rep[c])))
+            except ValueError:
+                pass
         return out[self.row_class]
 
     @cached_property
@@ -421,7 +413,7 @@ class TheoremCheck:
 
 
 def _fail_rows(check: TheoremCheck, batch: GroupBatch, rows, expected, got) -> None:
-    """Fail the cell of each row in ``rows``, once per cell, listing the first MAX_COUNTEREXAMPLES.
+    """Fail each row's cell once, listing the first MAX_COUNTEREXAMPLES rows and "..." if there are more.
 
     ``expected`` and ``got`` are one value for all rows, or lists or arrays
     whose i-th entry describes ``rows[i]`` (only the listed rows' are read).  A
@@ -439,6 +431,8 @@ def _fail_rows(check: TheoremCheck, batch: GroupBatch, rows, expected, got) -> N
     for i, k in enumerate(ks[:MAX_COUNTEREXAMPLES]):
         e, g = (v[i] if isinstance(v, (list, np.ndarray)) else v for v in (expected, got))
         check.note(f"group={spec} k={k}: expected {e}, got {g}")
+    if len(ks) > MAX_COUNTEREXAMPLES:
+        check.note("...")  # the cap is full by now, so this adds the marker once
 
 
 def _check_rows(check: TheoremCheck, batch: GroupBatch, expected: np.ndarray,
@@ -507,9 +501,12 @@ def check_connectivity(batch: GroupBatch) -> TheoremCheck:
     if group.spec.family == "cyclic":
         # pi(n) subset of pi(k)
         _check_rows(check, batch, batch.cyclic_pi, got)
-    # a connected k-power graph is a tree
-    tree_bad = np.flatnonzero(got & (batch.metrics.edge_count != n - 1))
+    # a connected k-power graph is a tree, and its code is a tree's
+    tree = got & (batch.metrics.edge_count == n - 1)
+    tree_bad = np.flatnonzero(got & ~tree)
     _fail_rows(check, batch, tree_bad, n - 1, batch.metrics.edge_count[tree_bad])
+    _fail_rows(check, batch, np.flatnonzero(tree & (batch.diameters < 0)), "a tree in the component pass",
+               "a cycle or two components")
 
     # a row that is no tree has no diameter and reads -1, below every bound
     over = np.flatnonzero(batch.diameters > bound)
@@ -539,11 +536,12 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     colors_mat = np.empty((U, n), dtype=np.int8)
     for c, r in enumerate(rep.tolist()):
         colors_mat[c] = analysis.chromatic(batch.graph_for_row(r))
-    # Proper: no edge, one kept arc each, joins two equal colours.  Every
-    # loop x -> x clashes, so only a class with more clashes than fixed
-    # points has a conflicting edge.  Each row is listed once per such edge.
+    # Proper: no edge, one kept arc each, joins two equal colours.  A loop
+    # x -> x is no edge, so only a class with a clash off its loops has a
+    # conflicting edge.  Each row is listed once per such edge.
     clash = colors_mat == np.take_along_axis(colors_mat, S, axis=1)
-    classes = np.flatnonzero(np.count_nonzero(clash, axis=1) > batch.metrics.fixed_count)
+    clash &= S != np.arange(n)
+    classes = np.flatnonzero(clash.any(axis=1))
     conflicts = np.count_nonzero(clash[classes] & kept_arcs(S[classes]), axis=1)
     del clash
     per_class = np.zeros(U, dtype=np.int64)
@@ -694,19 +692,19 @@ def check_period(batch: GroupBatch) -> TheoremCheck:
 
 
 def check_chair(max_n: int) -> TheoremCheck:
-    """Simulated minimal whistle count vs the coprimality closed form.
+    """Simulated minimal whistle count vs the coprimality closed form: the
+    error ``chair.solve_chairs`` raises where the two disagree is n's
+    counterexample.
 
     Also checks the two-sided degree-profile characterisation (all degrees
     (1,1) iff gcd(n,k) = 1) exhaustively for n <= 256, all k <= n+1.
     """
     check = TheoremCheck("chair", cells=max_n)
     for n in range(1, max_n + 1):
-        sol = solve_chairs(n)
-        expected = 2
-        while math.gcd(n, expected) != 1:
-            expected += 1
-        if sol.minimal_k != expected:
-            check.note(f"n={n}: expected minimal k {expected}, got {sol.minimal_k}")
+        try:
+            solve_chairs(n)
+        except RuntimeError as exc:
+            check.note(f"n={n}: {exc}")
             check.mark([n])
     for n in range(1, min(max_n, 256) + 1):
         ks = np.arange(2, n + 2, dtype=np.int64)
@@ -715,7 +713,8 @@ def check_chair(max_n: int) -> TheoremCheck:
         indeg = np.bincount(flat, minlength=len(ks) * n).reshape(len(ks), n)
         all_ones = (indeg == 1).all(axis=1)
         coprime = np.gcd(ks, n) == 1
-        for r in np.flatnonzero(all_ones != coprime)[:MAX_COUNTEREXAMPLES]:
+        # a sixth line becomes the "..." marker
+        for r in np.flatnonzero(all_ones != coprime)[:MAX_COUNTEREXAMPLES + 1]:
             check.note(
                 f"n={n} k={int(ks[r])}: degree profile all (1,1) is {bool(all_ones[r])} "
                 f"but gcd = {math.gcd(n, int(ks[r]))}"

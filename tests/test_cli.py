@@ -176,6 +176,49 @@ class TestVerify:
             "  counterexample: group=dihedral:3 k=7: expected 5, got 6",
         ]
 
+    def test_tree_answer_the_component_pass_rejects_is_a_counterexample(self, capsys, monkeypatch):
+        # every row of cyclic:8 reported connected with 7 edges: the odd k,
+        # whose codes hold cycles, have no diameter, and fail their cells
+        real = V.analyze_batch
+
+        def planted(S):
+            m = real(S)
+            m.connected[:] = True
+            m.edge_count[:] = S.shape[1] - 1
+            return m
+
+        monkeypatch.setattr(V, "analyze_batch", planted)
+        code, out, err = run(capsys, "verify", "--family", "cyclic", "--min-n", "8", "--max-n", "8",
+                             "--theorem", "connectivity")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "theorem connectivity: 8 cells, 4 failed, FAIL"
+        assert all(line.startswith("  counterexample: ") for line in lines[1:])
+        code, out, err = run(capsys, "analyze", "--no-meta", "--group", "cyclic:8", "--k", "3")
+        report = json.loads(out)
+        assert (code, err, report["diameter"]) == (0, "", None)
+        assert ("connectivity: group=cyclic:8 k=3: expected a tree in the component pass, "
+                "got a cycle or two components") in report["discrepancies"]
+
+    def test_chair_simulation_fault_is_a_counterexample(self, capsys, monkeypatch):
+        # n = 12 at k = 5 planted with a second person on chair 0: the solver
+        # rejects a k coprime to n, which its own guard raises
+        real = np.bincount
+
+        def planted(x, minlength=0):
+            occupancy = real(x, minlength=minlength)
+            if minlength == 12 and x.tolist() == [5 * i % 12 for i in range(12)]:
+                occupancy[0] += 1
+            return occupancy
+
+        monkeypatch.setattr(np, "bincount", planted)
+        code, out, err = run(capsys, "verify", "--family", "cyclic", "--max-n", "20", "--theorem", "chair")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "theorem chair: 20 cells, 1 failed, FAIL",
+            "  counterexample: n=12: simulation rejected k=5 despite gcd(12, 5) = 1",
+        ]
+
     def test_broken_census_fails_its_group(self, capsys, monkeypatch):
         real = V.analysis.edge_count_rows
 

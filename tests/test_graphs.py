@@ -1,6 +1,7 @@
 """Graph layer: small-group fixtures, the pairwise-definition oracle, shapes, exports."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -331,6 +332,30 @@ class TestComponentViewsAgainstListReference:
     def test_power_map_rows(self, S):
         for row in S:
             self.assert_matches(undirected_from_successor(row, 2, 2))
+
+
+class TestOneShapeRule:
+    """`graphs.shape_codes` through each of its readers, against BFS and leaf
+    stripping: the profiles of `components`, the report's shape counts in
+    order of least vertex, and the batch's all-basic answer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_map_cases())
+    def test_readers_match_list_reference(self, case):
+        group, ks = case
+        ks = np.maximum(ks, 2)  # the draw's k = 1 on the trivial group: P(G, k) needs k >= 2
+        basic = GroupBatch.build(group, ks).metrics.all_shapes_basic
+        for r, k in enumerate(ks.tolist()):
+            gr = build_undirected(group, k)
+            reference = list_components(gr)
+            assert components(gr) == reference
+            shapes = Counter(p.shape_tag for p in reference)
+            assert list(analyze(group, k).component_shapes.items()) == list(shapes.items())
+            assert basic[r] == all(p.shape in ("isolated", "k2", "cycle") for p in reference)
+
+    def test_many_isolated_components(self):
+        # k = 1 mod 65536: every vertex a fixed point
+        assert analyze(build_group("cyclic:65536"), 65537).component_shapes == {"isolated": 65536}
 
 
 class TestCertificatesAgainstListReference:

@@ -23,7 +23,15 @@ from conftest import (
     unique_tables,
 )
 from kpower.analysis import analyze, chromatic
-from kpower.graphs import build_undirected, component_shape, components, diameter, undirected_from_successor
+from kpower.graphs import (
+    SHAPES,
+    build_undirected,
+    components,
+    diameter,
+    shape_codes,
+    shape_tag,
+    undirected_from_successor,
+)
 from kpower.groups import build_group
 
 SAMPLE_SPECS = (
@@ -180,12 +188,10 @@ class TestPassPrimitivesOnHardRows:
         m = V.analyze_batch(S)
         assert m.code[1].tolist() == code
         mine = np.flatnonzero(m.comp_row == 1)
+        shapes = shape_codes(m.comp_vertices, m.comp_cycle_len)
         got = sorted((int(m.comp_least[c]) - n, int(m.comp_vertices[c]), int(m.comp_edges[c]),
-                      component_shape(int(m.comp_vertices[c]), int(m.comp_edges[c]),
-                                      int(m.comp_cycle_len[c])))
-                     for c in mine.tolist())
-        assert got == [(p.vertices[0], p.vertex_count, p.edge_count, (p.shape, p.cycle_length))
-                       for p in profiles]
+                      shape_tag(SHAPES[shapes[c]], int(m.comp_cycle_len[c]))) for c in mine.tolist())
+        assert got == [(p.vertices[0], p.vertex_count, p.edge_count, p.shape_tag) for p in profiles]
 
     def test_one_round_sends_many_arcs_into_one_head(self):
         # a path 9 -> 8 -> ... -> 0 with a loop at 0, and 500 leaves into
@@ -334,7 +340,7 @@ def tables_at(m, rows):
     comps = [np.flatnonzero(m.comp_row == r) for r in rows.tolist()]
     comp = np.concatenate([m.comp_row[:0], *comps])
     comp_row = np.repeat(np.arange(rows.size), [c.size for c in comps])
-    tables = {name: getattr(m, name)[rows] for name in ("degrees", "fixed_count", "code")}
+    tables = {name: getattr(m, name)[rows] for name in ("degrees", "code")}
     tables.update({name: getattr(m, name)[comp] for name in ("comp_vertices", "comp_edges", "comp_cycle_len")})
     tables["comp_row"] = comp_row
     tables["comp_least"] = m.comp_least[comp] - (m.comp_row[comp] - comp_row) * m.n
@@ -715,6 +721,22 @@ class TestTheoremCheck:
         fresh = V.TheoremCheck("edges")
         fresh.merge(check)
         assert fresh.failures == check.failures
+
+    @pytest.mark.parametrize("sizes", [(8,), (3, 3), (5,), (2, 3)])
+    def test_marker_means_lines_were_cut(self, sizes):
+        # one comparison of 8 failing rows, or two of 3, list five lines and
+        # the marker; five rows in all list five lines and no marker
+        batch = V.GroupBatch.build(build_group("cyclic:16"), np.arange(2, 18))
+        check = V.TheoremCheck("edges")
+        first = 0
+        for size in sizes:
+            V._fail_rows(check, batch, np.arange(first, first + size), 0, 1)
+            first += size
+        cut = sum(sizes) > V.MAX_COUNTEREXAMPLES
+        assert check.failed_cells == sum(sizes)
+        assert len(check.failures) == V.MAX_COUNTEREXAMPLES + cut
+        assert check.failures[V.MAX_COUNTEREXAMPLES:] == (["..."] if cut else [])
+        assert "..." not in check.failures[:V.MAX_COUNTEREXAMPLES]
 
 
 class TestSweepPlumbing:
