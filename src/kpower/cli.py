@@ -11,9 +11,10 @@ Subcommands:
 object; each value is checked as argparse checks the flag (type, choices,
 true/false for switches, a list for repeatable flags).
 
-Exit codes: 0 success, 1 verification counterexample, 2 usage or parse
-error, including a bad config value, a ``--k-max`` below 2, an ``--out``
-path that cannot be written, a sweep that selects no group (a chair-only
+Exit codes: 0 success, 1 a counterexample (of a ``verify`` theorem, or a
+``chair`` simulation against its closed form), 2 usage or parse error,
+including a bad config value, a ``--k-max`` below 2, an ``--out`` path
+that cannot be written, a sweep that selects no group (a chair-only
 ``verify`` needs none) and one too large for memory (lower ``--k-max``).
 Output is deterministic; ``analyze`` adds a timestamp unless --no-meta.
 """
@@ -157,7 +158,11 @@ def cmd_chair(args) -> int:
         raise ValueError("n must be at least 1")
     if args.n > MAX_ORDER:
         raise ValueError(f"n {args.n} exceeds the supported ceiling {MAX_ORDER}")
-    solution = solve_chairs(args.n)
+    try:
+        solution = solve_chairs(args.n)
+    except RuntimeError as exc:  # the simulation disagrees with its closed form
+        print(f"counterexample: n={args.n}: {exc}")
+        return 1
     doc = {
         "n": solution.n,
         "minimal_k": solution.minimal_k,

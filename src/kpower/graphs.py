@@ -19,9 +19,9 @@ directed cycle.  One vectorised pass over the successor map, `_components`,
 finds them, and gives every vertex one code: 2j for a vertex of the j-th
 peel round, and on a cycle the parity of its distance forward to its
 cycle's least vertex.  The sweep engine runs it once per block of a
-batch's rows and hands each distinct graph its row of the codes
-(``verify.GroupBatch.graph_for_row``); a standalone `KPowerGraph` runs it
-once on its own row.  The successor row and the code give the 3-colouring
+batch's rows, one per distinct graph, and hands each its successor row and
+code (``verify.GroupBatch.graph_for_row``); a standalone `KPowerGraph` runs
+it once on its own row.  The row and the code give the 3-colouring
 certificate (``analysis.chromatic``) and the diameter of a connected graph,
 a tree.  `distances_from` walks the row and its predecessor index.
 
@@ -59,8 +59,8 @@ class KPowerGraph:
     """The undirected graph of the successor row x -> x**k.
 
     Everything is read off the row through arrays; the component pass
-    runs once per graph, on first use.  A sweep row comes with its class's
-    row of the batch pass's ``code`` (``verify.GroupBatch.graph_for_row``),
+    runs once per graph, on first use.  A sweep row is its class's successor
+    row, with that row of the batch pass's ``code`` (``verify.GroupBatch.graph_for_row``),
     which is all the certificates read, so it runs no pass of its own for them.
     """
 

@@ -38,15 +38,15 @@ o(x), so P(G, k) = P(G, k') exactly when k = k' mod exp(G), the lcm of the
 element orders.  ``GroupBatch.build`` still builds every row, classes the
 rows by their exponent mod exp(G) and compares each with its class's first
 row; the ``period`` check fails any row that differs, and such a row is
-analysed as its own graph.  Only the representatives go through
-`analyze_batch` and the per-row certificates.  The per-row answers a check
-compares row by row (edge count, components, chi, ...) are gathered to
-every row through the class index; the graph's tables (degrees, fixed
-points, the component arrays and the code) stay one row per distinct
-graph, and the checks that read them work per class.  Every closed form is
-still evaluated on each row's own exponent, so every cell is still proved.
-A batch whose rows are all distinct (a cyclic sweep with k <= o(G)+1, a
-one-row ``analyze``) is analysed as built.
+analysed as its own graph.  Only the representatives' rows are kept, and
+only they go through `analyze_batch` and the per-row certificates: what
+describes a graph (successor rows ``S``, degrees, component arrays, code)
+is stored once per distinct graph, and the checks that read it work per
+class.  The per-row answers a check compares row by row (edge count,
+components, chi, ...) are gathered to every row through the class index.
+Every closed form is still evaluated on each row's own exponent, so every
+cell is still proved.  A batch whose rows are all distinct (a cyclic sweep
+with k <= o(G)+1, a one-row ``analyze``) is analysed as built.
 
 `BatchMetrics` is the package's one graph side for these metrics and for
 the clique number, perfection and the star and forest shapes; nothing
@@ -92,9 +92,9 @@ class BatchMetrics:
     """Per-row answers and per-graph tables of a batch of k-power graphs.
 
     ``analyze_batch`` gives every field one entry per analysed row.  In a
-    `GroupBatch`, which analyses one row per distinct graph, the answers
-    (marked "row") hold one entry per row of the batch, and the tables
-    (marked "graph") one per analysed row, read through ``row_class``.
+    `GroupBatch`, which keeps one successor row per distinct graph, the
+    answers (marked "row") hold one entry per row of the batch, and the
+    tables (marked "graph") one per class, read through ``row_class``.
     """
 
     n: int
@@ -222,15 +222,6 @@ _ROW_ANSWERS = ("edge_count", "comp_count", "connected", "has_cycle", "has_long_
                 "omega", "all_shapes_basic", "star_shape", "chi")
 
 
-def _rep_rows(S: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """The successor rows of the classes' representatives, in class order.
-
-    That is S itself when every row is its own class (``rep`` is then the
-    identity); otherwise a copy, which its caller drops after use.
-    """
-    return S if rep.size == S.shape[0] else S[rep]
-
-
 # Successor entries compared at once when rows are checked against their class.
 _COMPARE_ENTRIES = 1 << 16
 
@@ -277,11 +268,11 @@ class GroupBatch:
     group: FiniteGroup
     ks: np.ndarray
     kn: np.ndarray
-    S: np.ndarray
+    S: np.ndarray  # a graph table: row c is class c's successor row
     metrics: BatchMetrics
     # The row classes whose graph side ran once: ``rep[c]`` is class c's
     # representative row and ``row_class[r]`` row r's class.  A batch built
-    # from its parts treats every row as its own class.
+    # from its parts keeps every row in ``S``, each its own class.
     rep: np.ndarray | None = None
     row_class: np.ndarray | None = None
     # Rows whose successor row differs from the first row with the same
@@ -294,13 +285,13 @@ class GroupBatch:
 
     @classmethod
     def build(cls, group: FiniteGroup, ks: np.ndarray) -> "GroupBatch":
-        """Every row's successor row, with the graph side run once per distinct graph.
+        """Every row's successor row, kept and analysed once per distinct graph.
 
         x**k depends on k only mod o(x), so rows whose exponents agree mod
         exp(G) hold one graph.  Each row is compared with its class's first
-        row; only those representatives go through ``analyze_batch``.  Its
-        per-row answers are gathered to every row, and its tables stay one
-        row per class.
+        row; only those representatives are kept and go through
+        ``analyze_batch``.  Its per-row answers are gathered to every row,
+        and its tables, ``S`` among them, stay one row per class.
         """
         kn = normalized_exponents(ks, group.order)
         S = successor_rows(group, ks)
@@ -309,12 +300,13 @@ class GroupBatch:
         if aperiodic.size:  # each breaks away into a class of its own
             row_class[aperiodic] = rep.size + np.arange(aperiodic.size)
             rep = np.concatenate([rep, aperiodic])
-        if rep.size == len(ks):  # every row is its own class, in row order
+        if rep.size < len(ks):  # the class rows alone; every row's are freed before the pass
+            S = S[rep]
+        else:  # every row is its own class, in row order
             rep = row_class = np.arange(len(ks))
-        metrics = analyze_batch(_rep_rows(S, rep))
-        if rep.size < len(ks):  # each class's answers, gathered to its rows
-            for name in _ROW_ANSWERS:
-                setattr(metrics, name, getattr(metrics, name)[row_class])
+        metrics = analyze_batch(S)
+        for name in _ROW_ANSWERS:  # each class's answers, gathered to its rows
+            setattr(metrics, name, getattr(metrics, name)[row_class])
         return cls(group, ks, kn, S, metrics, rep, row_class, aperiodic)
 
     @cached_property
@@ -365,8 +357,9 @@ class GroupBatch:
     def graph_for_row(self, r: int) -> KPowerGraph:
         """Row r's KPowerGraph, over its successor row, with its class's row
         of the batch pass's code already set as its own."""
-        gr = KPowerGraph(int(self.ks[r]), int(self.kn[r]), self.S[r])
-        gr.code = self.metrics.code[self.row_class[r]]
+        c = self.row_class[r]
+        gr = KPowerGraph(int(self.ks[r]), int(self.kn[r]), self.S[c])
+        gr.code = self.metrics.code[c]
         return gr
 
 
@@ -530,8 +523,7 @@ def check_chromatic(batch: GroupBatch) -> TheoremCheck:
     chi = batch.metrics.chi
     over = np.flatnonzero(chi > 3)
     _fail_rows(check, batch, over, "<= 3", chi[over])
-    rep, row_class = batch.rep, batch.row_class
-    S = _rep_rows(batch.S, rep)
+    S, rep, row_class = batch.S, batch.rep, batch.row_class
     U, n = S.shape
     colors_mat = np.empty((U, n), dtype=np.int8)
     for c, r in enumerate(rep.tolist()):
@@ -622,16 +614,17 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     if check.cells == 0:
         return check
     orders = n // np.gcd(n, np.arange(n, dtype=np.int64))
-    # Each edge is one kept arc x -> s(x), listed as (u, v), u < v, in
-    # (row, u, v) order.
+    # Decided per class, whose rows share kn (exp(G) = n); each edge of a failing
+    # class's rows is one kept arc x -> s(x), listed as (u, v), u < v, in (row, u, v) order.
     S = batch.S
     mismatched = orders[S] != orders
-    mismatched &= coprime[:, None]
-    rows = np.flatnonzero(mismatched.any(axis=1))
-    mismatched = mismatched[rows] & kept_arcs(S[rows])
+    mismatched &= coprime[batch.rep, None]
+    rows = np.flatnonzero(mismatched.any(axis=1)[batch.row_class])
+    classes = batch.row_class[rows]
+    mismatched = mismatched[classes] & kept_arcs(S[classes])
     at, xs = np.nonzero(mismatched)
     del mismatched
-    ys = S[rows[at], xs]
+    ys = S[classes[at], xs]
     keys = (rows[at] * n + np.minimum(xs, ys)) * n + np.maximum(xs, ys)
     keys.sort()
     rows, lo, hi = keys // (n * n), keys // n % n, keys % n
@@ -684,9 +677,10 @@ def check_period(batch: GroupBatch) -> TheoremCheck:
     expected, got = [], []
     for r in batch.aperiodic[:MAX_COUNTEREXAMPLES].tolist():
         first = int(np.flatnonzero(residues == residues[r])[0])
-        x = int(np.flatnonzero(batch.S[r] != batch.S[first])[0])
-        expected.append(f"{x}^k = {batch.S[first, x]} as at k={batch.ks[first]}")
-        got.append(batch.S[r, x])
+        row, like = batch.S[batch.row_class[r]], batch.S[batch.row_class[first]]
+        x = int(np.flatnonzero(row != like)[0])
+        expected.append(f"{x}^k = {like[x]} as at k={batch.ks[first]}")
+        got.append(row[x])
     _fail_rows(check, batch, batch.aperiodic, expected, got)
     return check
 

@@ -102,8 +102,8 @@ def corpus(request) -> CorpusResults:
             check.merge(V._BATCH_CHECKS[name](batch))
         m = batch.metrics
         results.chi_over_3 += int((m.chi > 3).sum())
-        # the component tables hold one row per class, of its representative's graph
-        for c in pseudoforest_failures(batch.S[batch.rep], m)[:3]:
+        # S and the component tables hold one row per class, of its representative's graph
+        for c in pseudoforest_failures(batch.S, m)[:3]:
             results.pseudoforest_failures.append(f"group={gspec} k={int(batch.ks[batch.rep[c]])}")
     results.elapsed = time.perf_counter() - t0
     return results

@@ -418,7 +418,7 @@ class TestOrderHomogeneity:
             orders = np.array(g.element_orders)
             coprime = np.gcd(batch.kn, g.order) == 1
             assert coprime.any()
-            assert (orders[batch.S[coprime]] == orders).all(), spec
+            assert (orders[batch.S[batch.row_class[coprime]]] == orders).all(), spec
 
 
 class TestExponentPeriod:

@@ -20,6 +20,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def chair_fault(monkeypatch):
+    """n = 12 at k = 5 planted with a second person on chair 0: the solver
+    rejects a k coprime to n, which its own guard raises."""
+    real = np.bincount
+
+    def planted(x, minlength=0):
+        occupancy = real(x, minlength=minlength)
+        if minlength == 12 and x.tolist() == [5 * i % 12 for i in range(12)]:
+            occupancy[0] += 1
+        return occupancy
+
+    monkeypatch.setattr(np, "bincount", planted)
+
+
 class TestAnalyze:
     def test_sym3_k2_json(self, capsys):
         code, out, _ = run(capsys, "analyze", "--group", "sym:3", "--k", "2", "--no-meta")
@@ -200,18 +215,7 @@ class TestVerify:
         assert ("connectivity: group=cyclic:8 k=3: expected a tree in the component pass, "
                 "got a cycle or two components") in report["discrepancies"]
 
-    def test_chair_simulation_fault_is_a_counterexample(self, capsys, monkeypatch):
-        # n = 12 at k = 5 planted with a second person on chair 0: the solver
-        # rejects a k coprime to n, which its own guard raises
-        real = np.bincount
-
-        def planted(x, minlength=0):
-            occupancy = real(x, minlength=minlength)
-            if minlength == 12 and x.tolist() == [5 * i % 12 for i in range(12)]:
-                occupancy[0] += 1
-            return occupancy
-
-        monkeypatch.setattr(np, "bincount", planted)
+    def test_chair_simulation_fault_is_a_counterexample(self, capsys, chair_fault):
         code, out, err = run(capsys, "verify", "--family", "cyclic", "--max-n", "20", "--theorem", "chair")
         assert (code, err) == (1, "")
         assert out.splitlines() == [
@@ -270,6 +274,14 @@ class TestChair:
         assert code == 0
         assert "RESULT k=5" in out
         assert out.count("w=") == 4
+
+    def test_simulation_fault_is_a_counterexample(self, capsys, chair_fault, tmp_path):
+        # exit 1 with one counterexample line, as verify reports it; no report is written
+        path = tmp_path / "chair.txt"
+        code, out, err = run(capsys, "chair", "--n", "12", "--trace", "--out", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == ["counterexample: n=12: simulation rejected k=5 despite gcd(12, 5) = 1"]
+        assert not path.exists()
 
 
 class TestSweep:

@@ -297,10 +297,11 @@ class TestAgainstSetReference:
     def test_power_map_rows(self, case):
         group, ks = case
         batch = GroupBatch.build(group, ks)
-        rows = batch.S.tolist()
-        for r, row in enumerate(rows):
+        rows = batch.S.tolist()  # one per class
+        for r, c in enumerate(batch.row_class.tolist()):
+            row = rows[c]
             self.assert_matches(undirected_from_successor(row, int(ks[r]), int(batch.kn[r])), row)
-            self.assert_matches(undirected_from_successor(batch.S[r], int(ks[r]), int(batch.kn[r])), row)
+            self.assert_matches(undirected_from_successor(batch.S[c], int(ks[r]), int(batch.kn[r])), row)
             self.assert_matches(batch.graph_for_row(r), row)
 
 

@@ -55,11 +55,16 @@ def batch(request):
 
 class TestSuccessorRows:
     def test_matches_power(self, batch):
+        # every row's own successor row, and the class row the batch keeps for it
         g = batch.group
+        S = V.successor_rows(g, batch.ks)
         for r in range(0, len(batch.ks), max(1, len(batch.ks) // 7)):
             k = int(batch.ks[r])
             expected = [g.power(x, k) for x in range(g.order)]
-            assert batch.S[r].tolist() == expected
+            assert S[r].tolist() == batch.S[batch.row_class[r]].tolist() == expected
+
+    def test_keeps_one_row_per_class(self, batch):
+        assert batch.S.shape == (batch.rep.size, batch.group.order)
 
 
 class TestBatchAgainstLibrary:
@@ -105,7 +110,7 @@ class TestBatchAgainstLibrary:
             assert least == [p.vertices[0] for p in profiles]
 
     def test_edge_counts_only_shortcut(self, batch):
-        lean = edge_counts_only(batch.S)
+        lean = edge_counts_only(V.successor_rows(batch.group, batch.ks))
         assert np.array_equal(lean, batch.metrics.edge_count)
 
     def test_row_graphs_match_library(self, batch):
@@ -137,7 +142,7 @@ class TestAgainstUniqueReference:
         self.assert_tables_match(S)
 
     def test_sample_batches(self, batch):
-        self.assert_tables_match(batch.S)
+        self.assert_tables_match(V.successor_rows(batch.group, batch.ks))
 
 
 class TestCodeAgainstPeelReference:
@@ -303,17 +308,21 @@ class TestMemory:
         assert self.traced_peak(V.check_chromatic, batch) <= 2 * S.nbytes
 
     def test_build_keeps_one_table_row_per_class(self):
-        # sym:6 at every k is 720 rows of 60 classes; tables copied to every
-        # row held 3.85x after the build
+        # sym:6 at every k is 720 rows of 60 classes.  After the build,
+        # tables copied to every row held 3.85x the int64 R x n bytes, every
+        # row's successor row kept beside one-row-per-class tables 1.26x, and
+        # successor rows kept per class too 0.34x
         group = build_group("sym:6")
+        ks = V.exponents_for(group, None)
         tracemalloc.start()
         try:
-            batch = V.GroupBatch.build(group, V.exponents_for(group, None))
+            batch = V.GroupBatch.build(group, ks)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert batch.rep.size == 60
-        assert held <= 1.5 * batch.S.nbytes
+        assert batch.S.shape == (60, 720)
+        assert held <= 0.5 * len(ks) * group.order * 8
 
     def test_sym_power_map_fills_its_output_in_place(self):
         # the gather writes into its own index array, not into a second R x n one
@@ -330,8 +339,9 @@ DEDUP_SPECS = ("cyclic:1", "cyclic:2", "cyclic:12", "dihedral:1", "dihedral:2", 
 
 
 def every_row_analysed(batch):
-    """The batch from the same rows with every row its own class."""
-    return V.GroupBatch(batch.group, batch.ks, batch.kn, batch.S, V.analyze_batch(batch.S))
+    """The batch from every row's own successor row, each row its own class."""
+    S = V.successor_rows(batch.group, batch.ks)
+    return V.GroupBatch(batch.group, batch.ks, batch.kn, S, V.analyze_batch(S))
 
 
 def tables_at(m, rows):
@@ -430,6 +440,33 @@ class TestDeduplicatedBatch:
             expected.cells, expected.failed_cells, expected.failures)
         assert got.failures == [f"group=cyclic:12 k={k}: expected deg(7) = 1, got 2" for k in (5, 17, 29)]
 
+    def test_planted_fault_in_a_class_row_reads_as_on_every_row(self, monkeypatch):
+        # cyclic:8 at k = 3, 5, 11, 19: k = 3, 11 and 19 are one class, and
+        # each of its rows gets 1 -> 2, 2 -> 1 and 6 -> 0, so no row breaks
+        # away and the class's one kept row carries the fault for all three
+        real = V.successor_rows
+
+        def planted(g, exponents):
+            S = real(g, exponents)
+            S[np.ix_(np.flatnonzero(exponents % 8 == 3), [1, 2, 6])] = [2, 1, 0]
+            return S
+
+        monkeypatch.setattr(V, "successor_rows", planted)
+        batch = V.GroupBatch.build(build_group("cyclic:8"), np.array([3, 5, 11, 19]))
+        assert batch.rep.tolist() == [0, 1] and batch.row_class.tolist() == [0, 1, 0, 0]
+        reference = every_row_analysed(batch)
+        failed = {}
+        for name in ("order-adjacency", "degrees", "edges", "period"):
+            got, expected = V._BATCH_CHECKS[name](batch), V._BATCH_CHECKS[name](reference)
+            assert (got.cells, got.failed_cells, got.failures) == (
+                expected.cells, expected.failed_cells, expected.failures), name
+            failed[name] = got.failed_cells
+        assert failed == {"order-adjacency": 3, "degrees": 3, "edges": 3, "period": 0}
+        # the edges of the class's one row, listed for each of its rows in row order
+        assert V.check_order_adjacency(batch).failures[:4] == [
+            f"group=cyclic:8 k={k}: expected order-homogeneous edge, got {edge}"
+            for k in (3, 11) for edge in ("(0,6)", "(1,2)")]
+
     def test_aperiodic_row_fails_period_alone(self, monkeypatch):
         # Row k = 10 of product:2x4 (k = 2 mod 4) relabelled by a swap of two
         # vertices: the same graph up to isomorphism, so every other check
@@ -455,7 +492,7 @@ class TestDeduplicatedBatch:
         batch = V.GroupBatch.build(group, ks)
         assert batch.aperiodic.tolist() == [8]
         assert batch.rep.size == 5
-        assert_same_metrics(batch.metrics, V.analyze_batch(batch.S), batch.rep)
+        assert_same_metrics(batch.metrics, V.analyze_batch(V.successor_rows(group, ks)), batch.rep)
         checks = {name: fn(batch) for name, fn in V._BATCH_CHECKS.items()}
         assert {name: c.failed_cells for name, c in checks.items() if not c.passed} == {"period": 1}
         assert checks["period"].failures[0].startswith("group=product:2x4 k=10: expected ")
@@ -540,11 +577,11 @@ class TestOneComponentPass:
         group = build_group(spec)
         ks = np.arange(2, 3 * group.order + 5)
         batch = V.GroupBatch.build(group, ks)
-        for r in batch.rep.tolist():
+        for c, r in enumerate(batch.rep.tolist()):
             shared = batch.graph_for_row(r)
-            alone = undirected_from_successor(batch.S[r].copy(), int(ks[r]), int(batch.kn[r]))
+            alone = undirected_from_successor(batch.S[c].copy(), int(ks[r]), int(batch.kn[r]))
             assert shared.code.dtype == alone.code.dtype == np.uint8
-            assert shared.code.tolist() == alone.code.tolist() == peel_codes(batch.S[r].tolist())
+            assert shared.code.tolist() == alone.code.tolist() == peel_codes(batch.S[c].tolist())
             colors = chromatic(shared)
             assert colors.dtype == np.int8 and np.array_equal(colors, chromatic(alone))
             assert colors.max() == batch.metrics.chi[r] == list_chromatic(alone)[0]
@@ -552,7 +589,7 @@ class TestOneComponentPass:
                 with pytest.raises(ValueError):
                     diameter(alone)
                 continue
-            adjacency = set_adjacency(batch.S[r].tolist())
+            adjacency = set_adjacency(batch.S[c].tolist())
             eccentricities = [max(set_distances(adjacency, v)) for v in range(group.order)]
             assert diameter(shared) == batch.diameters[r] == diameter(alone) == max(eccentricities)
 
