@@ -58,7 +58,8 @@ def solve_chairs(n: int) -> ChairSolution:
     collisions: dict[int, tuple[int, int]] = {}
     k = 2
     while True:
-        occupancy = np.bincount((k * residues) % n, minlength=n)
+        seats = (k * residues) % n
+        occupancy = np.bincount(seats, minlength=n)
         if bool((occupancy == 1).all()):
             break
         bad = int(np.flatnonzero(occupancy != 1)[0])
@@ -72,8 +73,7 @@ def solve_chairs(n: int) -> ChairSolution:
         if math.gcd(n, rejected) == 1:
             raise RuntimeError(f"simulation rejected k={rejected} despite gcd({n}, {rejected}) = 1")
 
-    seating = [(k * i) % n for i in range(n)]
-    return ChairSolution(n=n, minimal_k=k, seating=seating, collision_trace=collisions)
+    return ChairSolution(n=n, minimal_k=k, seating=seats.tolist(), collision_trace=collisions)
 
 
 def render_trace(solution: ChairSolution) -> str:

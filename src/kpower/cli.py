@@ -93,7 +93,7 @@ def _text_report(doc: dict, prefix: str = "") -> str:
     # Text mirrors the JSON field order so both stay greppable.
     lines = []
     for key, value in doc.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:  # an empty mapping prints as {}
             lines.append(f"{prefix}{key}:")
             lines.append(_text_report(value, prefix + "  "))
         else:

@@ -368,6 +368,7 @@ class TheoremCheck:
     """One theorem's tally: cells checked, distinct cells failed, a few counterexamples.
 
     A batch check's cell is one (group, k), the chair check's is one n.
+    ``fail`` is the one way to record a failure.
     """
 
     name: str
@@ -380,52 +381,40 @@ class TheoremCheck:
     def passed(self) -> bool:
         return not self.failures
 
-    def note(self, failure: str) -> None:
-        """Keep the first MAX_COUNTEREXAMPLES failures, then one "..." marker."""
-        if len(self.failures) < MAX_COUNTEREXAMPLES:
-            self.failures.append(failure)
-        elif len(self.failures) == MAX_COUNTEREXAMPLES:
-            self.failures.append("...")
-
-    def mark(self, cells) -> None:
-        """Count every cell in ``cells`` as failed, each distinct cell once."""
+    def fail(self, cells, lines) -> None:
+        """Count each distinct cell in ``cells`` once as failed; keep the first MAX_COUNTEREXAMPLES
+        ``lines`` of all calls, read lazily, then one "..." if any line was cut."""
         before = len(self._failed)
         self._failed.update(cells)
         self.failed_cells += len(self._failed) - before
-
-    def fail(self, group: FiniteGroup, k: int, expected, got) -> None:
-        self.note(f"group={group.spec} k={k}: expected {expected}, got {got}")
-        self.mark([(group.spec, k)])
+        room = MAX_COUNTEREXAMPLES - len(self.failures)  # -1 once the marker is in
+        if room >= 0:
+            lines = iter(lines)
+            self.failures += itertools.islice(lines, room)
+            if next(lines, None) is not None:
+                self.failures.append("...")
 
     def merge(self, other: "TheoremCheck") -> None:
         """Add another check's tallies; the two must cover disjoint cells."""
         self.cells += other.cells
         self.failed_cells += other.failed_cells
-        for f in other.failures:
-            self.note(f)
+        self.fail((), other.failures)
 
 
 def _fail_rows(check: TheoremCheck, batch: GroupBatch, rows, expected, got) -> None:
-    """Fail each row's cell once, listing the first MAX_COUNTEREXAMPLES rows and "..." if there are more.
+    """Fail each row's cell, with one line for each of the first MAX_COUNTEREXAMPLES rows.
 
     ``expected`` and ``got`` are one value for all rows, or lists or arrays
-    whose i-th entry describes ``rows[i]`` (only the listed rows' are read).  A
-    ``TheoremViolation`` as ``got`` is a closed form that broke its own
-    invariant, listed once for the whole group.
+    whose i-th entry describes ``rows[i]`` (only the listed rows' are read).
+    A "..." line stands for the rows past them, so ``check.fail`` marks the cut.
     """
     if not len(rows):
         return
     spec = batch.group.spec
     ks = batch.ks[rows].tolist()
-    check.mark((spec, k) for k in ks)
-    if isinstance(got, analysis.TheoremViolation):
-        check.note(f"group={spec}: {got}")
-        return
-    for i, k in enumerate(ks[:MAX_COUNTEREXAMPLES]):
-        e, g = (v[i] if isinstance(v, (list, np.ndarray)) else v for v in (expected, got))
-        check.note(f"group={spec} k={k}: expected {e}, got {g}")
-    if len(ks) > MAX_COUNTEREXAMPLES:
-        check.note("...")  # the cap is full by now, so this adds the marker once
+    listed = (v if isinstance(v, (list, np.ndarray)) else [v] * MAX_COUNTEREXAMPLES for v in (expected, got))
+    lines = [f"group={spec} k={k}: expected {e}, got {g}" for k, e, g in zip(ks[:MAX_COUNTEREXAMPLES], *listed)]
+    check.fail(((spec, k) for k in ks), lines + ["..."] * (len(ks) > MAX_COUNTEREXAMPLES))
 
 
 def _check_rows(check: TheoremCheck, batch: GroupBatch, expected: np.ndarray,
@@ -450,7 +439,7 @@ def check_edges(batch: GroupBatch) -> TheoremCheck:
     try:
         expected = analysis.edge_count_rows(batch.group, batch.kn)
     except analysis.TheoremViolation as exc:
-        _fail_rows(check, batch, np.arange(len(batch.ks)), None, exc)
+        check.fail([(batch.group.spec, k) for k in batch.ks.tolist()], [f"group={batch.group.spec}: {exc}"])
     else:
         _check_rows(check, batch, expected, got)
     over = np.flatnonzero(got > batch.group.order - 1)
@@ -644,8 +633,8 @@ def check_thm16(batch: GroupBatch) -> TheoremCheck:
     try:
         analysis.theorem16_structure(n)
     except analysis.TheoremViolation as exc:
-        for k, message in (exc.exponents or {n // 2: str(exc)}).items():  # each broken shape's cell
-            check.fail(group, k, "certified structure", message)
+        for k, m in (exc.exponents or {n // 2: str(exc)}).items():  # each broken shape's cell
+            check.fail([(group.spec, k)], [f"group={group.spec} k={k}: expected certified structure, got {m}"])
     return check
 
 
@@ -698,8 +687,7 @@ def check_chair(max_n: int) -> TheoremCheck:
         try:
             solve_chairs(n)
         except RuntimeError as exc:
-            check.note(f"n={n}: {exc}")
-            check.mark([n])
+            check.fail([n], [f"n={n}: {exc}"])
     for n in range(1, min(max_n, 256) + 1):
         ks = np.arange(2, n + 2, dtype=np.int64)
         targets = (ks[:, None] * np.arange(n, dtype=np.int64)[None, :]) % n
@@ -707,13 +695,10 @@ def check_chair(max_n: int) -> TheoremCheck:
         indeg = np.bincount(flat, minlength=len(ks) * n).reshape(len(ks), n)
         all_ones = (indeg == 1).all(axis=1)
         coprime = np.gcd(ks, n) == 1
-        # a sixth line becomes the "..." marker
-        for r in np.flatnonzero(all_ones != coprime)[:MAX_COUNTEREXAMPLES + 1]:
-            check.note(
-                f"n={n} k={int(ks[r])}: degree profile all (1,1) is {bool(all_ones[r])} "
-                f"but gcd = {math.gcd(n, int(ks[r]))}"
-            )
-            check.mark([n])
+        bad = np.flatnonzero(all_ones != coprime).tolist()
+        if bad:
+            check.fail([n], (f"n={n} k={int(ks[r])}: degree profile all (1,1) is {bool(all_ones[r])} "
+                             f"but gcd = {math.gcd(n, int(ks[r]))}" for r in bad))
     return check
 
 

@@ -155,10 +155,9 @@ class TestVerify:
         assert code == 0
 
     def test_fail_line_counts_failed_cells(self, capsys, monkeypatch):
-        group = build_group("cyclic:5")
         check = V.TheoremCheck("edges", cells=10)
         for k in (2, 3, 3, 4):
-            check.fail(group, k, 0, 1)
+            check.fail([("cyclic:5", k)], [f"group=cyclic:5 k={k}: expected 0, got 1"])
         monkeypatch.setattr(V, "run_verification", lambda spec: [check])
         code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max-n", "5")
         assert code == 1
@@ -268,6 +267,12 @@ class TestChair:
         code, out, _ = run(capsys, "chair", "--n", str(MAX_ORDER), "--format", "json")
         assert code == 0
         assert json.loads(out)["minimal_k"] == 3
+
+    def test_text_ends_with_an_empty_mapping_on_its_line(self, capsys):
+        # odd n rejects no k: the empty mapping prints as {}, with no blank line after it
+        code, out, _ = run(capsys, "chair", "--n", "7")
+        assert code == 0
+        assert out.endswith("seating: [0, 2, 4, 6, 1, 3, 5]\nrejected: {}\n")
 
     def test_trace(self, capsys):
         code, out, _ = run(capsys, "chair", "--n", "6", "--trace")

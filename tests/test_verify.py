@@ -1,5 +1,6 @@
 """The batched engine against the per-instance library, plus sweep plumbing."""
 
+import itertools
 import tracemalloc
 from dataclasses import fields
 
@@ -7,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kpower.graphs
 import kpower.verify as V
@@ -737,18 +739,17 @@ class TestChecks:
 
 class TestTheoremCheck:
     def test_counterexamples_are_capped_with_one_marker(self):
-        group = build_group("cyclic:3")
         check = V.TheoremCheck("edges")
         for k in range(2, 14):
-            check.fail(group, k, 0, 1)
+            check.fail([("cyclic:3", k)], [f"group=cyclic:3 k={k}: expected 0, got 1"])
         assert len(check.failures) == V.MAX_COUNTEREXAMPLES + 1
         assert check.failures[-1] == "..."
         assert "..." not in check.failures[:-1]
         assert check.failed_cells == 12
 
         merged = V.TheoremCheck("edges")
-        merged.fail(group, 99, 0, 1)
-        merged.fail(group, 99, 0, 2)
+        merged.fail([("cyclic:3", 99)], ["group=cyclic:3 k=99: expected 0, got 1"])
+        merged.fail([("cyclic:3", 99)], ["group=cyclic:3 k=99: expected 0, got 2"])
         assert merged.failed_cells == 1
         own = list(merged.failures)
         merged.merge(check)
@@ -774,6 +775,40 @@ class TestTheoremCheck:
         assert len(check.failures) == V.MAX_COUNTEREXAMPLES + cut
         assert check.failures[V.MAX_COUNTEREXAMPLES:] == (["..."] if cut else [])
         assert "..." not in check.failures[:V.MAX_COUNTEREXAMPLES]
+
+    _CALL = st.tuples(st.lists(st.integers(0, 9), max_size=4), st.integers(0, 8), st.booleans())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_CALL, st.lists(_CALL, max_size=5)), max_size=10))
+    def test_tally_matches_a_plain_list_model(self, ops):
+        # a tuple is one fail(cells, lines) call, a list the calls of a check
+        # merged in; the model keeps every line and every cell
+        cap = V.MAX_COUNTEREXAMPLES
+        numbers = itertools.count()
+        stream = []
+
+        def call(check, seen, cells, n_lines, lazy):
+            lines = [f"line {next(numbers)}" for _ in range(n_lines)]
+            stream.extend(lines)
+            seen.update(cells)
+            pulled = []
+            room = cap - len(check.failures)
+            check.fail(cells, (pulled.append(line) or line for line in lines) if lazy else lines)
+            if lazy:  # read no further than the line past the cap
+                assert len(pulled) == (min(n_lines, room + 1) if room >= 0 else 0)
+
+        check, seen, merged_cells = V.TheoremCheck("t"), set(), 0
+        for op in ops:
+            if isinstance(op, tuple):
+                call(check, seen, *op)
+            else:
+                other, other_seen = V.TheoremCheck("t"), set()
+                for args in op:
+                    call(other, other_seen, *args)
+                check.merge(other)
+                merged_cells += len(other_seen)
+        assert check.failed_cells == len(seen) + merged_cells
+        assert check.failures == stream[:cap] + ["..."] * (len(stream) > cap)
 
 
 class TestSweepPlumbing:
@@ -850,3 +885,19 @@ class TestSweepPlumbing:
 class TestChair:
     def test_chair_check_passes(self):
         assert V.check_chair(300).passed
+
+    def test_degree_profile_fault_fails_each_n_once(self, monkeypatch):
+        # coprimality planted false for every k at n = 6 and n = 10: their six
+        # coprime exponents fail, the first five are listed, then one marker
+        real = np.gcd
+        monkeypatch.setattr(np, "gcd", lambda ks, n: real(ks, n) + (n in (6, 10)))
+        check = V.check_chair(12)
+        assert (check.cells, check.failed_cells) == (12, 2)
+        assert check.failures == [
+            "n=6 k=5: degree profile all (1,1) is True but gcd = 1",
+            "n=6 k=7: degree profile all (1,1) is True but gcd = 1",
+            "n=10 k=3: degree profile all (1,1) is True but gcd = 1",
+            "n=10 k=7: degree profile all (1,1) is True but gcd = 1",
+            "n=10 k=9: degree profile all (1,1) is True but gcd = 1",
+            "...",
+        ]
