@@ -81,14 +81,19 @@ def render_trace(solution: ChairSolution) -> str:
 
     Entries are ``seat[j] <- person p`` sorted by seat then person, so
     collisions show up as repeated seats on a rejected whistle's line.
+    Each whistle's line is one ``np.lexsort`` of the placements and one
+    ``%`` over the repeated entry template.
     """
     n = solution.n
+    residues = np.arange(n, dtype=np.int64)
+    person = residues.copy()
+    person[0] = n
+    entries = "; ".join(["seat[%d] <- person %d"] * n)
     lines = []
     for k in range(2, solution.minimal_k + 1):
-        placements = sorted(
-            ((k * i) % n, n if i == 0 else i) for i in range(n)
-        )
-        entries = "; ".join(f"seat[{seat}] <- person {person}" for seat, person in placements)
-        lines.append(f"w={k}: {entries}")
+        seat = k * residues % n
+        by_seat = np.lexsort((person, seat))
+        placements = np.stack((seat[by_seat], person[by_seat]), axis=1)
+        lines.append(f"w={k}: " + entries % tuple(placements.ravel().tolist()))
     lines.append(f"RESULT k={solution.minimal_k}")
     return "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from datetime import datetime, timezone
@@ -73,13 +74,17 @@ def _json_value(value, newline: str) -> str:
     # ``newline`` is a line break plus the indentation of the current level.
     inner = newline + "  "
     if type(value) is list and value:
-        if all(type(v) is int for v in value):
+        # the type and length checks run in C, over ``map``
+        types = set(map(type, value))
+        if types == {int}:
             return "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
-        if all(type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
-               for v in value):
-            deeper = inner + "  "
-            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-            return "[" + inner + ("," + inner).join(pair % (u, v) for u, v in value) + newline + "]"
+        if types == {list} and set(map(len, value)) == {2}:
+            ends = tuple(itertools.chain.from_iterable(value))
+            if set(map(type, ends)) == {int}:
+                deeper = inner + "  "
+                pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+                pairs = ("," + inner).join([pair] * len(value)) % ends
+                return "[" + inner + pairs + newline + "]"
         return "[" + inner + ("," + inner).join(_json_value(v, inner) for v in value) + newline + "]"
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = (json.dumps(key) + ": " + _json_value(v, inner) for key, v in value.items())

@@ -28,6 +28,12 @@ a tree.  `distances_from` walks the row and its predecessor index.
 Exponents are normalised to k mod o(G) (residue 0 mapped to o(G)) before
 powering: congruent exponents give the identical graph.  Both raw and
 normalised k are kept on the graph objects.
+
+The exports read the sorted edge keys as one E x 2 array (`_edge_ends`):
+the JSON document's edge list is one ``tolist`` of it, and the DOT text
+formats all node lines, then all edge lines, with one ``%`` each over a
+repeated line template, so neither builds a Python object per element
+that it does not print.
 """
 
 from __future__ import annotations
@@ -95,9 +101,8 @@ class KPowerGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        n = self.group_order
-        keys = _edge_keys(self.successor)
-        return list(zip((keys // n).tolist(), (keys % n).tolist()))
+        u, v = _edge_ends(self.successor).T
+        return list(zip(u.tolist(), v.tolist()))
 
     def __eq__(self, other) -> bool:
         """Same exponents and the same edges; the successor rows may differ."""
@@ -158,6 +163,11 @@ def _edge_keys(succ: np.ndarray) -> np.ndarray:
     keys = np.minimum(tail, head) * succ.size + np.maximum(tail, head)
     keys.sort()
     return keys
+
+
+def _edge_ends(succ: np.ndarray) -> np.ndarray:
+    """The edges as an E x 2 array of rows (u, v), u < v, in lexicographic order."""
+    return np.stack(np.divmod(_edge_keys(succ), succ.size), axis=1)
 
 
 class ComponentPass(NamedTuple):
@@ -393,14 +403,22 @@ def diameter(gr: KPowerGraph) -> int:
 
 
 def to_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
-    """Byte-stable DOT rendering with canonical element-name labels."""
-    lines = [f'graph "{group.spec} k={gr.k}" {{']
-    for v, name in enumerate(group.element_names()):
-        lines.append(f'  {v} [label="{name}"];')
-    for u, v in gr.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Byte-stable DOT rendering with canonical element-name labels.
+
+    The node lines, and then the edge lines, are each one ``%`` over a
+    repeated line template, fed the flat list of the values it prints.
+    """
+    n = gr.group_order
+    nodes = [None] * (2 * n)
+    nodes[::2] = range(n)
+    nodes[1::2] = group.element_names()
+    ends = _edge_ends(gr.successor)
+    return "".join((
+        f'graph "{group.spec} k={gr.k}" {{\n',
+        '  %d [label="%s"];\n' * n % tuple(nodes),
+        "  %d -- %d;\n" * len(ends) % tuple(ends.ravel().tolist()),
+        "}\n",
+    ))
 
 
 def to_json_dict(group: FiniteGroup, gr: KPowerGraph) -> dict:
@@ -408,6 +426,6 @@ def to_json_dict(group: FiniteGroup, gr: KPowerGraph) -> dict:
     return {
         "group": str(group.spec),
         "k": gr.k,
-        "edges": [[u, v] for u, v in gr.edges()],
+        "edges": _edge_ends(gr.successor).tolist(),
         "fixed_points": np.flatnonzero(gr.successor == np.arange(gr.group_order)).tolist(),
     }

@@ -22,11 +22,16 @@ against.  Group orders are capped at 2**16; larger requests are rejected
 rather than attempted.
 
 The power map x -> x**k is computed in one place, ``successor_rows``: a
-vectorised closed form per family over a whole array of exponents.  The
-sweep (``verify``), the one-row graph builders and the exports (``graphs``)
-and ``analysis.analyze`` all call it; ``FiniteGroup.power`` is the scalar
-public API, written from the operation alone, and serves as its test
-reference.
+vectorised closed form per family over a whole array of exponents.  On sym
+it groups the elements by order d and the exponents by residue k mod d,
+composes each order's permutations up to each residue it needs and ranks
+the powers once per residue, so one exponent costs one rank per element.
+The sweep (``verify``), the one-row graph builders and the exports
+(``graphs``) and ``analysis.analyze`` all call it; ``FiniteGroup.power`` is
+the scalar public API, written from the operation alone, and serves as its
+test reference.  A sym group keeps each permutation's cycle length at each
+symbol (``_cycle_lengths``), from which both its element orders and its
+names are read.
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ class FiniteGroup:
     element_orders: list[int]
     # family-specific realization data
     _perm_array: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # sym: each permutation's cycle length at each symbol (`_cycle_lengths`),
+    # read by the element orders and the names
+    _perm_cycle_lengths: np.ndarray | None = field(default=None, repr=False, compare=False)
     _moduli: tuple[int, ...] | None = None
     _strides: tuple[int, ...] | None = None
 
@@ -177,7 +185,7 @@ class FiniteGroup:
         if family == "cyclic":
             return list(map(str, range(self.order)))
         if family == "sym":
-            return _perm_cycle_names(self._perm_array)
+            return _perm_cycle_names(self._perm_array, self._perm_cycle_lengths)
         if family in ("dihedral", "quaternion"):
             half = self.order // 2
             rotations = ["e", "a", *(f"a{i}" for i in range(2, half))][:half]
@@ -259,6 +267,7 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
             itertools.chain.from_iterable(itertools.permutations(range(params[0]))),
             dtype=np.int64, count=order * params[0],
         ).reshape(order, params[0])
+        group._perm_cycle_lengths = _cycle_lengths(group._perm_array)
     elif family == "product":
         group._moduli = params
         strides = []
@@ -291,7 +300,7 @@ def _element_orders(group: FiniteGroup) -> list[int]:
             orders = np.lcm(orders, m // np.gcd(m, (idx // stride) % m))
     else:
         # symmetric: the lcm of the cycle lengths
-        orders = np.lcm.reduce(_cycle_lengths(group._perm_array), axis=1)
+        orders = np.lcm.reduce(group._perm_cycle_lengths, axis=1)
     return orders.tolist()
 
 
@@ -318,8 +327,9 @@ def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
     return length.reshape(n, m)
 
 
-def _perm_cycle_names(perms: np.ndarray) -> list[str]:
-    """``_perm_cycle_notation`` of every row of ``perms``, built column-wise.
+def _perm_cycle_names(perms: np.ndarray, length: np.ndarray) -> list[str]:
+    """``_perm_cycle_notation`` of every row of ``perms``, built column-wise;
+    ``length`` is their `_cycle_lengths`.
 
     Each cycle is listed from its least symbol, and the cycles by their
     least symbols: sorting the symbols by (least symbol of the cycle,
@@ -328,7 +338,6 @@ def _perm_cycle_names(perms: np.ndarray) -> list[str]:
     ")" closing its cycle.
     """
     n, m = perms.shape
-    length = _cycle_lengths(perms)
     succ = _symbol_successor(perms)
     least = np.arange(n * m, dtype=np.int64)
     to_least = np.zeros(n * m, dtype=np.int64)
@@ -368,22 +377,22 @@ def _perm_cycle_notation(p: list[int]) -> str:
     return "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles)
 
 
-def _perm_ranks(perms: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Element index of each one-line array along the last axis of ``products``.
+def _perm_codes(perms: np.ndarray) -> np.ndarray:
+    """The base-m code of each one-line array along the last axis of ``perms``.
 
-    Ranks by the base-m code of the array: the enumeration is lexicographic,
-    so the codes of ``perms`` ascend and ``searchsorted`` finds each product.
+    The enumeration is lexicographic, so the codes of a sym group's
+    ``_perm_array`` ascend, and ``searchsorted`` on them ranks any product.
     """
-    m = perms.shape[1]
-    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return np.searchsorted(perms @ weights, products @ weights)
+    m = perms.shape[-1]
+    return perms @ (m ** np.arange(m - 1, -1, -1, dtype=np.int64))
 
 
 def _perm_rank(p: list[int]) -> int:
     """Index of one one-line permutation in lexicographic order (its Lehmer code).
 
-    The scalar counterpart of ``_perm_ranks``, and independent of it: the
-    rank is sum_i c_i (m-1-i)!, where c_i counts the later entries below p[i].
+    The scalar counterpart of ranking by ``_perm_codes``, and independent of
+    it: the rank is sum_i c_i (m-1-i)!, where c_i counts the later entries
+    below p[i].
     """
     m = len(p)
     rank = 0
@@ -434,24 +443,32 @@ def successor_rows(group: FiniteGroup, ks) -> np.ndarray:
         for p, row in enumerate(reflection_powers):
             out[which == p, h:] = row
         return out
-    # symmetric: a per-element power table x^0 .. x^(o(x)-1), read at
-    # k mod o(x); step j composes every x^j with x (one vectorised
-    # composition per step, max o(x) - 1 steps) and ranks the products.
+    # symmetric: per distinct element order d, and within it per distinct
+    # residue r of k mod d, the order-d elements are composed with
+    # themselves up to x^r and ranked once; every row whose exponent has
+    # residue r takes those ranks.  A single exponent costs one rank per
+    # element, and no table of all the powers is kept.
     perms = group._perm_array
+    codes = _perm_codes(perms)
     orders = np.array(group.element_orders, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(orders, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    flat[offsets[:-1]] = group.identity
-    active, power = idx, perms
-    for j in range(1, int(orders.max())):
-        keep = orders[active] > j
-        active, power = active[keep], power[keep]
-        flat[offsets[active] + j] = _perm_ranks(perms, power)
-        power = np.take_along_axis(power, perms[active], axis=1)
-    # The gather overwrites its own index array: mode="clip" lets take write
-    # into `out` directly (the default mode copies it), and every index is
-    # in range.
-    idx = ks[:, None] % orders
-    idx += offsets[:-1]
-    return flat.take(idx, out=idx, mode="clip")
+    out = np.empty((len(ks), n), dtype=np.int64)
+    for d in group.census[0].tolist():
+        elems = np.flatnonzero(orders == d)
+        residues = ks % d
+        power, step = perms[elems], 1
+        for r in np.flatnonzero(np.bincount(residues, minlength=d)).tolist():
+            if r < 2:
+                ranks = elems if r else group.identity
+            else:
+                if step == 1:
+                    # x^(j+1)(s) = x^j(x(s)): one flat take per step, through
+                    # the elements' symbols as one functional graph
+                    steps = _symbol_successor(power).reshape(power.shape)
+                while step < r:
+                    power = power.take(steps)
+                    step += 1
+                ranks = np.searchsorted(codes, _perm_codes(power))
+            # broadcast index arrays write the block in place, with no
+            # rows x elements temporary
+            out[np.flatnonzero(residues == r)[:, None], elems] = ranks
+    return out

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from kpower.chair import ChairSolution
 from kpower.graphs import ComponentProfile, KPowerGraph
 from kpower.groups import FiniteGroup, build_group, successor_rows
 
@@ -309,6 +310,36 @@ def list_clique_number(gr: KPowerGraph) -> int:
     if not edges:
         return 1
     return 3 if any(adj_sets[u] & adj_sets[v] for u, v in edges) else 2
+
+
+def reference_edges(gr: KPowerGraph) -> list[tuple[int, int]]:
+    """The graph's edges (u, v), u < v, sorted: a set of the successor row's non-loop arcs."""
+    return sorted({(min(x, y), max(x, y)) for x, y in enumerate(gr.successor.tolist()) if x != y})
+
+
+def reference_dot(group: FiniteGroup, gr: KPowerGraph) -> str:
+    """The DOT export built one f-string per node and per edge."""
+    lines = [f'graph "{group.spec} k={gr.k}" {{']
+    for v, name in enumerate(group.element_names()):
+        lines.append(f'  {v} [label="{name}"];')
+    for u, v in reference_edges(gr):
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_trace(solution: ChairSolution) -> str:
+    """The chair trace built by sorting each whistle's (seat, person) tuples."""
+    n = solution.n
+    lines = []
+    for k in range(2, solution.minimal_k + 1):
+        placements = sorted(
+            ((k * i) % n, n if i == 0 else i) for i in range(n)
+        )
+        entries = "; ".join(f"seat[{seat}] <- person {person}" for seat, person in placements)
+        lines.append(f"w={k}: {entries}")
+    lines.append(f"RESULT k={solution.minimal_k}")
+    return "\n".join(lines) + "\n"
 
 
 def perm_index(group: FiniteGroup, p: tuple[int, ...]) -> int:

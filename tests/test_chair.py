@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import minimal_whistles_by_simulation, whistle_positions
+from conftest import minimal_whistles_by_simulation, reference_trace, whistle_positions
 from kpower.chair import degree_profile, render_trace, solve_chairs
 from kpower.graphs import build_undirected, components
 from kpower.groups import build_group
@@ -112,6 +112,11 @@ class TestTrace:
         final = render_trace(sol).strip().split("\n")[-2]
         seats = [piece.split("]")[0] for piece in final.split("seat[")[1:]]
         assert sorted(int(s) for s in seats) == list(range(10))
+
+    def test_matches_reference(self):
+        for n in [*range(1, 301), 5184]:
+            sol = solve_chairs(n)
+            assert render_trace(sol) == reference_trace(sol), n
 
     def test_collision_visible_on_rejected_whistle(self):
         sol = solve_chairs(6)

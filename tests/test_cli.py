@@ -1,12 +1,16 @@
 """CLI behaviour: documented examples, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpower
 import kpower.verify as V
 from kpower.analysis import analyze
 from kpower.cli import _json_text, build_parser, main
@@ -428,6 +432,28 @@ PARSER_SNAPSHOT = {
         _OUT,
     ],
 }
+
+
+class TestImports:
+    """A CLI process never imports ``numpy.ma``: numpy 2.4 imports it on the
+    first plain ``np.unique`` of a process, which took 11-33 ms on a 2-core
+    x86 VM, against a few ms for a whole small request."""
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--group", "sym:5", "--k", "7", "--format", "dot"],
+        ["export", "--group", "sym:5", "--k", "7", "--format", "json"],
+        ["export", "--group", "product:4x6", "--k", "5", "--format", "dot"],
+        ["export", "--group", "product:4x6", "--k", "5", "--format", "json"],
+        ["analyze", "--group", "dihedral:12", "--k", "3"],
+        ["chair", "--n", "864", "--trace"],
+    ])
+    def test_no_numpy_ma(self, argv):
+        code = f"import sys; from kpower.cli import main; main({argv!r}); assert 'numpy.ma' not in sys.modules"
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(kpower.__file__)))
+        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestParser:

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     list_chromatic,
@@ -15,6 +16,8 @@ from conftest import (
     perm_index,
     power_map_cases,
     power_map_matrices,
+    reference_dot,
+    reference_edges,
     set_adjacency,
     set_distances,
     successor_matrices,
@@ -510,3 +513,53 @@ class TestExports:
         first = to_dot(g, build_undirected(g, 6))
         second = to_dot(g, build_undirected(g, 6))
         assert first == second
+
+
+# Every family at order <= 64: cyclic:1..64, dihedral:1..32, quaternion:2..16,
+# sym:1..4 and every product of two or three moduli.
+SMALL_SPECS = (
+    [f"cyclic:{n}" for n in range(1, 65)]
+    + [f"dihedral:{n}" for n in range(1, 33)]
+    + [f"quaternion:{n}" for n in range(2, 17)]
+    + [f"sym:{m}" for m in range(1, 5)]
+    + [f"product:{a}x{b}" for a in range(1, 33) for b in range(1, 65 // a)]
+    + [f"product:{a}x{b}x{c}" for a in range(1, 9) for b in range(1, 9) for c in range(1, 65 // (a * b))]
+)
+
+
+@st.composite
+def small_exports(draw):
+    """A group of order <= 64 and its graph at some 2 <= k <= o(G) + 2."""
+    g = build_group(draw(st.sampled_from(SMALL_SPECS)))
+    return g, build_undirected(g, draw(st.integers(min_value=2, max_value=g.order + 2)))
+
+
+class TestExportWriters:
+    """The one-pass writers, byte for byte against the per-line references."""
+
+    @staticmethod
+    def assert_exports_match(g, gr):
+        assert to_dot(g, gr) == reference_dot(g, gr)
+        doc = to_json_dict(g, gr)
+        assert doc["edges"] == [[u, v] for u, v in reference_edges(gr)]
+        assert all(type(x) is int for edge in doc["edges"] for x in edge)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_exports())
+    def test_every_family(self, case):
+        self.assert_exports_match(*case)
+
+    # order 1 and 2, and edgeless graphs (k = 1 mod exp(G))
+    @pytest.mark.parametrize("spec, k", [
+        ("cyclic:1", 2), ("sym:1", 5), ("product:1", 3), ("cyclic:2", 2), ("cyclic:2", 3),
+        ("dihedral:1", 2), ("dihedral:1", 3), ("sym:2", 4), ("cyclic:5", 6), ("sym:3", 7),
+        ("quaternion:2", 9), ("product:2x3", 7),
+    ])
+    def test_small_and_edgeless(self, spec, k):
+        g = build_group(spec)
+        self.assert_exports_match(g, build_undirected(g, k))
+
+    @pytest.mark.parametrize("spec, k", [("sym:7", 1234), ("cyclic:5000", 1237), ("product:16x17x18", 7)])
+    def test_request_sizes(self, spec, k):
+        g = build_group(spec)
+        self.assert_exports_match(g, build_undirected(g, k))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import iterated_power, perm_index, perm_order
 from kpower import numth
-from kpower.groups import MAX_ORDER, _perm_ranks, build_group, parse_group_spec, successor_rows
+from kpower.groups import MAX_ORDER, _perm_codes, build_group, parse_group_spec, successor_rows
 
 # Exhaustive-scan corpus: one of each family, orders <= 48.
 SMALL_SPECS = (
@@ -280,13 +280,13 @@ class TestNames:
 class TestPermRanks:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_ranks_of_all_products_match_op(self, n):
-        """``_perm_ranks`` ranks every pairwise composition as the scalar ``op`` does."""
+        """Searching the codes ranks every pairwise composition as the scalar ``op`` does."""
         g = build_group(f"sym:{n}")
         perms = g._perm_array
         # (x * y)[i] = x[y[i]]
         products = perms[np.arange(g.order)[:, None, None], perms[None, :, :]]
         expected = [[g.op(x, y) for y in range(g.order)] for x in range(g.order)]
-        assert _perm_ranks(perms, products).tolist() == expected
+        assert np.searchsorted(_perm_codes(perms), _perm_codes(products)).tolist() == expected
 
 
 # Every family, with the groups of order 1 and 2 among them.
@@ -370,3 +370,56 @@ class TestSuccessorRows:
         xs = sorted(random.Random(spec).sample(range(g.order), 300))
         ks = [2, 3, 4, 5, 7, 8, g.order, g.order + 1, g.order + 2, 3 * g.order + 5, *HUGE_EXPONENTS]
         assert_rows_match_power(g, ks, xs)
+
+
+def powers_by_residue(g, ks, xs):
+    """x**k for every k in ``ks`` and x in ``xs``, by ``FiniteGroup.power``
+    called once per element and residue k mod o(x)."""
+    known = {}
+    rows = []
+    for k in ks:
+        row = []
+        for x in xs:
+            key = (x, k % g.element_orders[x])
+            if key not in known:
+                known[key] = g.power(x, k)
+            row.append(known[key])
+        rows.append(row)
+    return rows
+
+
+def sym_exponents(g):
+    """32 exponents: k = 0 and 1 mod every o(x), beyond o(G) + 1, small k,
+    and repeats of the same residues, one exponent twice."""
+    e, o = g.exponent, g.order
+    aligned = [e * j + r for j in (1, 2, 3) for r in (0, 1)]
+    beyond = [o + 2, 3 * o + 5, 2**63 - 1]
+    small = list(range(2, 13))
+    repeats = [k + e for k in range(2, 13)] + [7]
+    return aligned + beyond + small + repeats
+
+
+class TestSymPowerMap:
+    """The sym power map ranks once per order and residue; every entry against
+    the scalar ``FiniteGroup.power``."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_thirty_two_rows(self, m):
+        g = cached_group(f"sym:{m}")
+        ks = sym_exponents(g)
+        assert len(ks) == 32
+        S = successor_rows(g, ks)
+        assert S.dtype == np.int64 and S.flags.c_contiguous and S.shape == (32, g.order)
+        assert S.tolist() == powers_by_residue(g, ks, range(g.order))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_row(self, m):
+        g = cached_group(f"sym:{m}")
+        for k in sym_exponents(g)[::3]:
+            assert successor_rows(g, [k]).tolist() == powers_by_residue(g, [k], range(g.order)), k
+
+    def test_one_row_sym7_sample(self):
+        g = cached_group("sym:7")
+        xs = sorted(random.Random(7).sample(range(g.order), 400))
+        for k in (1234, g.exponent, g.exponent + 1, g.order + 2):
+            assert successor_rows(g, [k])[0, xs].tolist() == powers_by_residue(g, [k], xs)[0], k
