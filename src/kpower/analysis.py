@@ -34,7 +34,6 @@ from . import numth, verify
 from .graphs import (
     KPowerGraph,
     SHAPES,
-    build_undirected,
     diameter,  # unused here; perfbench/tests pins this binding
     normalize_exponent,
     shape_codes,
@@ -56,12 +55,7 @@ STAR_CASE_NONE = "not_star"
 
 
 class TheoremViolation(RuntimeError):
-    """A proven identity failed to hold (an implementation bug); ``exponents`` maps
-    each k whose own graph broke a per-k identity to that graph's message."""
-
-    def __init__(self, message: str, exponents: dict[int, str] | None = None):
-        super().__init__(message)
-        self.exponents = exponents or {}
+    """A proven identity failed to hold (an implementation bug)."""
 
 
 def _one_row(k: int, n: int) -> np.ndarray:
@@ -352,28 +346,17 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
 
     For even n with n/2 odd (n >= 6): at k = n/2 the graph is two stars
     K_{1, n/2-1} centred at 0 and n/2 (evens attach to 0, odds to n/2);
-    at k = n/2 + 1 it is n/2 disjoint edges {a, a + n/2}.  Both shapes are
-    forced, so a mismatch raises TheoremViolation, naming in ``exponents``
-    every k whose shape broke.
+    at k = n/2 + 1 it is n/2 disjoint edges {a, a + n/2}.  Runs the sweep's
+    ``thm16`` check on the two-row batch of Z_n at those exponents, and
+    raises TheoremViolation with its counterexamples if either shape breaks.
     """
     if n < 6 or n % 4 != 2:
         raise ValueError("requires even n with n/2 odd and n >= 6")
     half = n // 2
-    group = build_group(f"cyclic:{n}")
-
-    expected_stars = sorted(
-        [(0, a) for a in range(2, n, 2)] + [(min(a, half), max(a, half)) for a in range(1, n, 2) if a != half]
-    )
-    broken = {}
-    if build_undirected(group, half).edges() != expected_stars:
-        broken[half] = f"P(Z_{n},{half}) does not split into the two expected stars"
-
-    expected_matching = [(a, a + half) for a in range(half)]
-    if build_undirected(group, half + 1).edges() != expected_matching:
-        broken[half + 1] = f"P(Z_{n},{half + 1}) is not the expected perfect matching"
-    if broken:
-        raise TheoremViolation("; ".join(broken.values()), broken)
-
+    batch = verify.GroupBatch.build(build_group(f"cyclic:{n}"), np.array([half, half + 1], dtype=np.int64))
+    check = verify.check_thm16(batch)
+    if not check.passed:
+        raise TheoremViolation("; ".join(check.failures))
     return HalfExponentCertificate(
         n=n,
         k_half=half,
@@ -381,7 +364,7 @@ def theorem16_structure(n: int) -> HalfExponentCertificate:
         star_leaf_count=half - 1,
         half_description=f"2*K_{{1,{half - 1}}}",
         k_half_plus_one=half + 1,
-        matching_pairs=expected_matching,
+        matching_pairs=[(a, a + half) for a in range(half)],
         matching_description=f"{half}*P_2",
     )
 
@@ -450,13 +433,16 @@ class AnalysisReport:
 
 
 def _component_shapes(m: verify.BatchMetrics) -> dict[str, int]:
-    """Shape-tag counts of a one-row batch, in order of each component's least vertex."""
+    """Shape-tag counts of a one-row batch, in order of each tag's first component by
+    least vertex; one tag is built per distinct (shape code, cycle length) pair."""
+    base = m.n + 1  # a cycle length is at most n
+    pairs = shape_codes(m.comp_vertices, m.comp_cycle_len) * base + m.comp_cycle_len
+    pair, first, count = np.unique(pairs[np.argsort(m.comp_least)], return_index=True, return_counts=True)
     shapes: dict[str, int] = {}
-    codes = shape_codes(m.comp_vertices, m.comp_cycle_len).tolist()
-    cycle = m.comp_cycle_len.tolist()
-    for c in np.argsort(m.comp_least).tolist():
-        tag = shape_tag(SHAPES[codes[c]], cycle[c])
-        shapes[tag] = shapes.get(tag, 0) + 1
+    for i in np.argsort(first).tolist():
+        code, cycle = divmod(int(pair[i]), base)
+        tag = shape_tag(SHAPES[code], cycle)
+        shapes[tag] = shapes.get(tag, 0) + int(count[i])
     return shapes
 
 
@@ -465,10 +451,10 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
 
     The report reads a one-row ``verify.GroupBatch``: its graph-side metrics
     and the closed forms and diameter its checks evaluate.  Every batch
-    check but ``thm16`` (a whole-group certificate) runs on that row, and
-    ``discrepancies`` lists their counterexamples, after the comparison of
-    ``edge_count_formula`` with the graph, rather than raising, so reports
-    remain producible outside any theorem's hypothesis.
+    check runs on that row, and ``discrepancies`` lists their
+    counterexamples, after the comparison of ``edge_count_formula`` with the
+    graph, rather than raising, so reports remain producible outside any
+    theorem's hypothesis.
     """
     n = group.order
     kn = normalize_exponent(k, n)
@@ -487,19 +473,13 @@ def analyze(group: FiniteGroup, k: int) -> AnalysisReport:
     if edges_formula != edges_brute:
         discrepancies.append(f"edge count: formula {edges_formula} != graph {edges_brute}")
     for name, check in verify._BATCH_CHECKS.items():
-        if name != "thm16":
-            discrepancies += [f"{name}: {failure}" for failure in check(batch).failures]
+        discrepancies += [f"{name}: {failure}" for failure in check(batch).failures]
 
     criterion_connected, bound = batch.connectivity
     diam = int(batch.diameters[0])
     cyclic_extras = None
     if group.spec.family == "cyclic":
-        tag = None
-        if n % 4 == 2:
-            if kn == n // 2:
-                tag = "two_stars"
-            elif kn == n // 2 + 1:
-                tag = "half_matching"
+        tag = {n // 2: "two_stars", n // 2 + 1: "half_matching"}.get(kn) if n % 4 == 2 else None
         prim_root = bool(batch.primitive_root[0]) if math.gcd(n, kn) == 1 else None
         cyclic_extras = CyclicExtras(bool(batch.cyclic_pi[0]), numth.tau(n), prim_root, tag)
 

@@ -21,19 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def degree_profile(n: int, k: int) -> list[tuple[int, int]]:
-    """(in-degree, out-degree) of every vertex of the directed graph i -> k*i.
+def in_degree_rows(n: int, ks: np.ndarray) -> np.ndarray:
+    """In-degrees of i -> k*i (mod n), one row per k in ``ks``: in-degree(a) counts the
+    solutions of k*x = a (mod n), fixed points included.  Every out-degree is 1."""
+    targets = ks[:, None] % n * np.arange(n, dtype=np.int64) % n
+    targets += np.arange(len(ks), dtype=np.int64)[:, None] * n
+    return np.bincount(targets.ravel(), minlength=len(ks) * n).reshape(len(ks), n)
 
-    Out-degrees are identically 1; in-degree(a) counts solutions of
-    k*x = a (mod n), fixed points included.
-    """
+
+def degree_profile(n: int, k: int) -> list[tuple[int, int]]:
+    """(in-degree, out-degree) of every vertex of the directed graph i -> k*i."""
     if n < 1:
         raise ValueError("expects n >= 1")
     if k < 2:
         raise ValueError("expects k >= 2")
-    targets = (k * np.arange(n, dtype=np.int64)) % n
-    indeg = np.bincount(targets, minlength=n)
-    return [(int(d), 1) for d in indeg]
+    return [(d, 1) for d in in_degree_rows(n, np.array([k % n], dtype=np.int64))[0].tolist()]
 
 
 @dataclass

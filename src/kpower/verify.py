@@ -58,8 +58,8 @@ that row's ``code`` of its block's one component pass (each vertex's peel
 round and cycle distance parity, one byte per vertex), so no check runs
 the pass again or builds an adjacency list.  The closed forms live in
 `analysis`, written once and vectorised over the exponents.
-`analysis.analyze` builds a one-row batch, runs every check but the
-whole-group ``thm16`` on it and reports their failures.  The test suite
+`analysis.analyze` builds a one-row batch, runs every check on it and
+reports their failures.  The test suite
 pins the engine against list-walking references and networkx.
 
 `sweep_batches` is the one loop from a `SweepSpec` to its batches, one
@@ -77,8 +77,8 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis, numth
-from .chair import solve_chairs
-from .graphs import SHAPE_TREE, KPowerGraph, _components, diameter, kept_arcs, shape_codes
+from .chair import in_degree_rows, solve_chairs
+from .graphs import SHAPE_TREE, KPowerGraph, _components, _edge_keys, diameter, kept_arcs, shape_codes
 from .groups import FAMILIES, FiniteGroup, GroupSpec, build_group, successor_rows
 
 MAX_COUNTEREXAMPLES = 5
@@ -622,19 +622,37 @@ def check_order_adjacency(batch: GroupBatch) -> TheoremCheck:
     return check
 
 
+def _half_exponent_keys(n: int, kn: int) -> np.ndarray:
+    """P(Z_n, kn)'s sorted edge keys min*n + max at kn = n/2 (evens joined to 0,
+    odds to n/2) or n/2 + 1 (the pairs {a, a + n/2})."""
+    half = n // 2
+    if kn == half + 1:
+        return np.arange(half, dtype=np.int64) * (n + 1) + half
+    odd = np.arange(1, n, 2, dtype=np.int64)
+    return np.concatenate([np.arange(2, n, 2, dtype=np.int64), odd[odd < half] * n + half,
+                           half * n + odd[odd > half]])
+
+
 def check_thm16(batch: GroupBatch) -> TheoremCheck:
-    """Cyclic n = 2 mod 4 (n >= 6): the two closed-form shapes at n/2, n/2+1."""
+    """Cyclic n = 2 mod 4 (n >= 6): by exact edge sets, the rows at k = n/2 are two stars,
+    those at n/2 + 1 the perfect matching; a shape's keys are built only if it has a row."""
     group = batch.group
     check = TheoremCheck("thm16")
     n = group.order
     if group.spec.family != "cyclic" or n % 4 != 2 or n < 6:
         return check
-    check.cells = 2
-    try:
-        analysis.theorem16_structure(n)
-    except analysis.TheoremViolation as exc:
-        for k, m in (exc.exponents or {n // 2: str(exc)}).items():  # each broken shape's cell
-            check.fail([(group.spec, k)], [f"group={group.spec} k={k}: expected certified structure, got {m}"])
+    half = n // 2
+    for kn, shape in ((half, f"two stars K_{{1,{half - 1}}} centred at 0 and {half}"),
+                      (half + 1, f"the perfect matching {{a, a+{half}}}")):
+        rows = np.flatnonzero(batch.kn == kn).tolist()
+        check.cells += len(rows)
+        expected = _half_exponent_keys(n, kn) if rows else None
+        for r in rows:
+            keys = _edge_keys(batch.S[batch.row_class[r]])
+            off = keys[expected.take(np.searchsorted(expected, keys), mode="clip") != keys]
+            if off.size or keys.size != expected.size:  # equal sizes and no key off: the same list
+                got = "first off the list (%d,%d)" % divmod(int(off[0]), n) if off.size else "all on the list"
+                _fail_rows(check, batch, [r], shape, f"{keys.size} edges, {got}")
     return check
 
 
@@ -690,10 +708,7 @@ def check_chair(max_n: int) -> TheoremCheck:
             check.fail([n], [f"n={n}: {exc}"])
     for n in range(1, min(max_n, 256) + 1):
         ks = np.arange(2, n + 2, dtype=np.int64)
-        targets = (ks[:, None] * np.arange(n, dtype=np.int64)[None, :]) % n
-        flat = (targets + (np.arange(len(ks), dtype=np.int64) * n)[:, None]).ravel()
-        indeg = np.bincount(flat, minlength=len(ks) * n).reshape(len(ks), n)
-        all_ones = (indeg == 1).all(axis=1)
+        all_ones = (in_degree_rows(n, ks) == 1).all(axis=1)
         coprime = np.gcd(ks, n) == 1
         bad = np.flatnonzero(all_ones != coprime).tolist()
         if bad:

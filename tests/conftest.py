@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from kpower import verify
 from kpower.chair import ChairSolution
 from kpower.graphs import ComponentProfile, KPowerGraph
 from kpower.groups import FiniteGroup, build_group, successor_rows
@@ -424,3 +425,17 @@ def power_map_cases(draw):
 def power_map_matrices():
     """Successor rows of real groups at k = 0 or 1 mod o(G) and k > o(G) + 1."""
     return power_map_cases().map(lambda case: successor_rows(*case))
+
+
+# The rows of Z_10 at k = 5 and k = 6 planted as the next exponent's, and
+# the line check_thm16 gives each.
+THM16_LINES = {
+    5: "group=cyclic:10 k=5: expected two stars K_{1,4} centred at 0 and 5, got 5 edges, first off the list (0,5)",
+    6: "group=cyclic:10 k=6: expected the perfect matching {a, a+5}, got 8 edges, first off the list (1,3)",
+}
+
+
+def plant_thm16(monkeypatch, broken):
+    """Z_10's successor rows at k = 5 and/or 6 (``broken``) replaced by the row of k + 1."""
+    real = verify.successor_rows
+    monkeypatch.setattr(verify, "successor_rows", lambda group, ks: real(group, ks + np.isin(ks % 10, broken)))

@@ -41,11 +41,13 @@ def _report(name: str, ok: bool, detail: str, failures: list[str] | None = None)
 
 
 def _timed_best(fn, repeats: int = 5) -> float:
+    """The least CPU time of this thread over ``repeats`` calls: time spent
+    waiting for a busy host's cores does not count against a bound."""
     best = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, time.thread_time() - t0)
     return best
 
 

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import POWER_MAP_SPECS, brute_degrees, pairwise_edges
+from conftest import POWER_MAP_SPECS, THM16_LINES, brute_degrees, pairwise_edges, plant_thm16
 from kpower import analysis, numth, verify
 from kpower.analysis import (
     CyclicExtras,
@@ -467,6 +467,16 @@ class TestHalfExponentStructures:
         for n in (2, 4, 8, 12, 9):
             with pytest.raises(ValueError):
                 theorem16_structure(n)
+
+    def test_broken_shapes_raise_the_thm16_check_text(self, monkeypatch):
+        plant_thm16(monkeypatch, (5, 6))
+        with pytest.raises(TheoremViolation) as info:
+            theorem16_structure(10)
+        assert str(info.value) == f"{THM16_LINES[5]}; {THM16_LINES[6]}"
+
+    def test_analyze_lists_a_broken_shape(self, monkeypatch):
+        plant_thm16(monkeypatch, (5,))
+        assert f"thm16: {THM16_LINES[5]}" in analyze(build_group("cyclic:10"), 5).discrepancies
 
     def test_sweep_to_400(self):
         for n in range(6, 401, 4):

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import kpower.graphs
 import kpower.verify as V
 from conftest import (
+    THM16_LINES,
     edge_counts_only,
     list_chromatic,
     list_clique_number,
     list_components,
     peel_codes,
+    plant_thm16,
     power_map_matrices,
     set_adjacency,
     set_distances,
@@ -672,16 +674,34 @@ class TestChecks:
     @pytest.mark.parametrize("broken", [(5,), (6,), (5, 6)])
     def test_thm16_fails_the_cell_of_each_broken_shape(self, monkeypatch, broken):
         # Z_10: two stars at k = 5, a perfect matching at k = 6; a broken
-        # shape is planted as the graph of the next exponent
-        real = V.analysis.build_undirected
-        monkeypatch.setattr(V.analysis, "build_undirected",
-                            lambda group, k: real(group, k + 1 if k in broken else k))
-        check = V.check_thm16(V.GroupBatch.build(build_group("cyclic:10"), np.arange(2, 4)))
-        messages = {5: "P(Z_10,5) does not split into the two expected stars",
-                    6: "P(Z_10,6) is not the expected perfect matching"}
+        # shape's row is planted as the row of the next exponent
+        plant_thm16(monkeypatch, broken)
+        check = V.check_thm16(V.GroupBatch.build(build_group("cyclic:10"), np.arange(2, 12)))
         assert (check.cells, check.failed_cells) == (2, len(broken))
+        assert check.failures == [THM16_LINES[k] for k in broken]
+
+    def test_thm16_counts_the_rows_present(self):
+        # only the rows at k = n/2 and n/2 + 1 (mod n) are cells; a shape's
+        # repeat k + n is its own cell
+        group = build_group("cyclic:10")
+        for ks, cells in (([2, 3, 4], 0), ([5], 1), ([6, 7], 1), ([5, 6, 15], 3)):
+            check = V.check_thm16(V.GroupBatch.build(group, np.array(ks, dtype=np.int64)))
+            assert (check.cells, check.passed) == (cells, True), ks
+
+    def test_thm16_lists_a_row_that_lacks_an_edge(self, monkeypatch):
+        # the k = 5 row with 9 fixed: the star edge (5,9) is gone, and every
+        # edge left is on the list
+        real = V.successor_rows
+
+        def planted(group, ks):
+            S = real(group, ks)
+            S[ks % 10 == 5, 9] = 9
+            return S
+
+        monkeypatch.setattr(V, "successor_rows", planted)
+        check = V.check_thm16(V.GroupBatch.build(build_group("cyclic:10"), np.array([5], dtype=np.int64)))
         assert check.failures == [
-            f"group=cyclic:10 k={k}: expected certified structure, got {messages[k]}" for k in broken]
+            "group=cyclic:10 k=5: expected two stars K_{1,4} centred at 0 and 5, got 7 edges, all on the list"]
 
     def test_order_adjacency_lists_each_edge_once_in_order(self):
         # row k=3: 1 <-> 2 (orders 8 and 4) is one edge, and the arc 6 -> 0
@@ -827,6 +847,22 @@ class TestSweepPlumbing:
             "product:2x2", "product:2x3", "product:3x3",
             "product:2x2x2", "product:2x2x3", "product:2x3x3", "product:3x3x3",
         ]
+
+    def test_a_sweep_builds_each_groups_rows_once(self, monkeypatch):
+        # no check builds a graph of its own: one successor_rows call per group
+        calls = []
+        for module in (V, kpower.graphs):
+            real = module.successor_rows
+            monkeypatch.setattr(module, "successor_rows",
+                                lambda group, ks, real=real: calls.append(group.spec) or real(group, ks))
+        spec = V.SweepSpec(("cyclic",), 30)
+        assert all(check.passed for check in V.run_verification(spec))
+        assert calls == list(V.sweep_group_specs(spec))
+
+    def test_k_max_below_half_leaves_thm16_the_rows_present(self):
+        # n/2 + 1 <= 4 only for n = 6: its rows at k = 3 and 4 are the two cells
+        (check,) = V.run_verification(V.SweepSpec(("cyclic",), 30, k_max=4, theorems=("thm16",)))
+        assert (check.cells, check.passed) == (2, True)
 
     def test_k_max_caps_exponents(self):
         group = build_group("cyclic:50")
